@@ -1,22 +1,29 @@
-// Raw interpreter throughput: the flattened direct-threaded dispatch loop
-// (shared FlatProgram + pooled RunScratch + reused FaultRuntime, i.e. exactly
-// what the explorer's worker threads run) against the legacy statement-tree
-// walker (fresh runtime per run, no scratch — the pre-flattening hot path).
-// Measured on the fault-free exploration workloads of zk-2247 (exception
-// root) and hd-net-1 (message-layer root), which is what every search round
-// executes thousands of times. Emits BENCH_interp.json.
+// Raw interpreter throughput: the direct-threaded dispatch loop with a
+// shared FlatProgram, pooled RunScratch and reused FaultRuntime, i.e.
+// exactly what the explorer's worker threads run. Measured on the fault-free
+// exploration workloads of zk-2247 (exception root) and hd-net-1
+// (message-layer root), which is what every search round executes thousands
+// of times. Emits BENCH_interp.json.
 //
-// Methodology follows bench_trace_overhead: both modes run interleaved at
-// single-sample granularity with the order rotated every repetition, each
-// sample is a back-to-back batch of identical runs, best-of-N gives the
-// per-mode floor, and the headline speedup is the median of per-repetition
-// tree/flat ratios so host drift cancels pairwise. The CHECK at the end is
-// the CI regression gate: the flattened path must stay at least
-// kSpeedupFloor x faster than the tree walker, a deliberately loose floor
-// under the >=5x target recorded in the JSON, so the job fails on a >=2x
-// regression of the flat path without flaking on machine variance.
+// Regression gate. Absolute ns/step moves with the host (the same binary
+// reads 20-39 ns/step across processes on one shared 4-core container), so
+// the gate is host-relative: each timed interpreter batch is paired with a
+// batch of a fixed calibration loop that does not touch the interpreter, run
+// interleaved with the order rotated every repetition. The loop is shaped
+// like interpreter work: a dependent random walk over a 1 MiB table
+// (cache-missing loads) that dispatches through an unpredictable 8-way
+// switch. The gated figure is the ratio of the two floors,
+//   calibrated_cost = (best interpreter ns/step) / (best calibration ns/iter).
+// Over twenty processes on that container it read 1.00-1.13 when the host
+// was quiet and at most 1.55 under neighbour load, while ns/step alone
+// moved 1.9x. A median of per-pair ratios spread 2x over the same kind of
+// runs, and a calibration table that fits in L1 did not slow down with the
+// interpreter. The CHECK at the end fails when a case's calibrated_cost
+// exceeds kGateFactor x its recorded value, i.e. on a >=2x slowdown of the
+// interpreter relative to the host.
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -26,6 +33,7 @@
 #include "src/ir/flatten.h"
 #include "src/obs/metrics.h"
 #include "src/util/check.h"
+#include "src/util/rng.h"
 #include "src/util/stopwatch.h"
 #include "src/util/strings.h"
 
@@ -35,20 +43,26 @@ namespace {
 constexpr int kRepetitions = 200;   // timed batches per mode per case
 constexpr int kRunsPerBatch = 50;   // back-to-back runs in one timed sample
 constexpr int kWarmupBatches = 3;   // untimed, per mode
-constexpr double kSpeedupFloor = 2.5;
+constexpr int kCalibrationIters = 200'000;  // calibration loop iterations per batch
+constexpr uint32_t kCalibrationTableSize = 1u << 18;  // uint32 entries: 1 MiB
+constexpr double kGateFactor = 2.0;
 
-struct ModeResult {
-  std::string mode;             // "tree" / "flat"
-  std::vector<double> samples;  // seconds per batch, aligned by repetition
-  double best_seconds = 0;
-  int64_t steps_per_run = 0;    // deterministic, identical across runs
+// The benched cases with their median calibrated_cost over twenty Release
+// -O2 processes (the host of BENCH_interp.json). The gate is relative to
+// these.
+struct Recorded {
+  const char* case_id;
+  double calibrated_cost;
 };
+constexpr Recorded kCases[] = {{"zk-2247", 1.02}, {"hd-net-1", 1.08}};
 
 struct CaseResult {
   std::string id;
-  ModeResult tree{"tree", {}, 0, 0};
-  ModeResult flat{"flat", {}, 0, 0};
-  double speedup = 0;  // median per-repetition tree/flat ratio
+  int64_t steps_per_run = 0;       // deterministic, identical across runs
+  std::vector<double> flat;         // seconds per batch
+  std::vector<double> calibration;  // seconds per batch
+  double calibrated_cost = 0;       // ratio of the two floors
+  double recorded_cost = 0;
 };
 
 double Best(const std::vector<double>& values) {
@@ -56,171 +70,166 @@ double Best(const std::vector<double>& values) {
   return *std::min_element(values.begin(), values.end());
 }
 
-double PairedSpeedup(const ModeResult& tree, const ModeResult& flat) {
-  ANDURIL_CHECK(tree.samples.size() == flat.samples.size());
-  std::vector<double> ratios;
-  for (size_t i = 0; i < tree.samples.size(); ++i) {
-    ratios.push_back(tree.samples[i] / flat.samples[i]);
+std::vector<uint32_t> CalibrationTable() {
+  Rng rng(20241104);
+  std::vector<uint32_t> table(kCalibrationTableSize);
+  for (uint32_t& entry : table) {
+    entry = static_cast<uint32_t>(rng.Next());
   }
-  std::sort(ratios.begin(), ratios.end());
-  return ratios[ratios.size() / 2];
+  return table;
 }
 
-// One fault-free run in the given mode. The flat mode reproduces the
-// explorer worker's per-run state exactly: one FaultRuntime and one
-// RunScratch outlive the whole batch, the FlatProgram is shared read-only.
-// The tree mode reproduces the pre-flattening worker: a fresh FaultRuntime
-// per run and a Simulator that allocates all its own containers.
-interp::RunResult RunOnceMode(const systems::BuiltCase& built, uint64_t seed, bool flat_mode,
-                              const ir::FlatProgram* flat, interp::FaultRuntime* shared_runtime,
-                              interp::RunScratch* scratch, obs::MetricsRegistry* metrics) {
-  if (flat_mode) {
-    interp::Simulator simulator(built.program.get(), &built.cluster, seed, shared_runtime,
-                                flat, scratch);
-    if (metrics != nullptr) {
-      simulator.set_metrics(metrics);
+// Interpreter-independent work of fixed size. The result is folded into a
+// volatile sink so the loop cannot be optimized away.
+volatile uint64_t g_calibration_sink = 0;
+
+void CalibrationBatch(const std::vector<uint32_t>& table) {
+  uint32_t index = 0;
+  uint64_t acc = 0;
+  for (int i = 0; i < kCalibrationIters; ++i) {
+    uint32_t value = table[index];
+    switch (value & 7) {
+      case 0: acc += value; break;
+      case 1: acc ^= (acc << 7) | value; break;
+      case 2: acc = acc * 31 + value; break;
+      case 3: acc -= value >> 3; break;
+      case 4: acc ^= acc >> 11; break;
+      case 5: acc += (value << 5) ^ acc; break;
+      case 6: acc = (acc << 1) | (value & 1); break;
+      default: acc ^= value * 2654435761u; break;
     }
-    return simulator.Run();
+    index = (index + value + static_cast<uint32_t>(acc)) & (kCalibrationTableSize - 1);
   }
-  interp::FaultRuntime runtime(built.program.get());
-  runtime.set_tracing(true);
-  interp::Simulator simulator(built.program.get(), &built.cluster, seed, &runtime);
-  simulator.set_tree_walk(true);
-  if (metrics != nullptr) {
-    simulator.set_metrics(metrics);
-  }
-  return simulator.Run();
+  g_calibration_sink = g_calibration_sink + acc;
 }
 
-CaseResult BenchCase(const std::string& case_id) {
-  const systems::FailureCase* failure_case = systems::FindCase(case_id);
+double NanosPerStep(double batch_seconds, int64_t steps_per_run) {
+  return batch_seconds * 1e9 /
+         (static_cast<double>(kRunsPerBatch) * static_cast<double>(steps_per_run));
+}
+
+double NanosPerIter(double batch_seconds) { return batch_seconds * 1e9 / kCalibrationIters; }
+
+CaseResult BenchCase(const Recorded& recorded, const std::vector<uint32_t>& table) {
+  const systems::FailureCase* failure_case = systems::FindCase(recorded.case_id);
   ANDURIL_CHECK(failure_case != nullptr);
   systems::BuiltCase built = systems::BuildCase(*failure_case, /*verify=*/false);
   const uint64_t seed = failure_case->explore_seed;
 
   ir::FlatProgram flat(*built.program);
   interp::RunScratch scratch;
-  interp::FaultRuntime shared_runtime(built.program.get());
-  shared_runtime.set_tracing(true);
+  interp::FaultRuntime runtime(built.program.get());
+  runtime.set_tracing(true);
 
   CaseResult result;
-  result.id = case_id;
+  result.id = recorded.case_id;
+  result.recorded_cost = recorded.calibrated_cost;
 
-  // Calibration: one metered run per mode. Steps are deterministic, so this
-  // both yields the ns/op denominator and asserts the two interpreters agree
-  // on the step count (the parity invariant the equivalence suite relies on).
-  for (ModeResult* mode : {&result.tree, &result.flat}) {
+  // One metered run: steps are deterministic, so this yields the ns/step
+  // denominator for every timed batch.
+  {
     obs::MetricsRegistry metrics;
-    interp::RunResult run =
-        RunOnceMode(built, seed, mode->mode == "flat", &flat, &shared_runtime, &scratch,
-                    &metrics);
+    interp::Simulator simulator(built.program.get(), &built.cluster, seed, &runtime, &flat,
+                                &scratch);
+    simulator.set_metrics(&metrics);
+    interp::RunResult run = simulator.Run();
     ANDURIL_CHECK(run.outcome == interp::RunOutcome::kCompleted);
-    mode->steps_per_run = metrics.histogram("sim.steps").sum;
-    ANDURIL_CHECK(mode->steps_per_run > 0);
+    result.steps_per_run = metrics.histogram("sim.steps").sum;
+    ANDURIL_CHECK(result.steps_per_run > 0);
+    scratch.Recycle(std::move(run));
   }
-  ANDURIL_CHECK(result.tree.steps_per_run == result.flat.steps_per_run)
-      << "step-count parity broken on " << case_id;
 
-  // The flat mode hands each consumed result's buffers back to the scratch,
-  // exactly as the explorer's round loop does; the tree mode drops results on
-  // the floor like the pre-flattening worker did.
-  auto run_batch = [&](bool flat_mode) {
+  // Each consumed result's buffers go back to the scratch, exactly as the
+  // explorer's round loop does.
+  auto run_batch = [&] {
     for (int i = 0; i < kRunsPerBatch; ++i) {
-      interp::RunResult run =
-          RunOnceMode(built, seed, flat_mode, &flat, &shared_runtime, &scratch, nullptr);
-      if (flat_mode) {
-        scratch.Recycle(std::move(run));
-      }
+      interp::Simulator simulator(built.program.get(), &built.cluster, seed, &runtime, &flat,
+                                  &scratch);
+      scratch.Recycle(simulator.Run());
     }
   };
   for (int i = 0; i < kWarmupBatches; ++i) {
-    run_batch(false);
-    run_batch(true);
+    run_batch();
+    CalibrationBatch(table);
   }
 
   // Interleaved timing, order rotated per repetition (see bench_trace_overhead
   // for why a fixed order biases the second mode).
-  ModeResult* order[2] = {&result.tree, &result.flat};
   for (int rep = 0; rep < kRepetitions; ++rep) {
     for (int k = 0; k < 2; ++k) {
-      ModeResult* mode = order[(rep + k) % 2];
       Stopwatch timer;
-      run_batch(mode->mode == "flat");
-      mode->samples.push_back(timer.ElapsedSeconds());
+      if ((rep + k) % 2 == 0) {
+        run_batch();
+        result.flat.push_back(timer.ElapsedSeconds());
+      } else {
+        CalibrationBatch(table);
+        result.calibration.push_back(timer.ElapsedSeconds());
+      }
     }
   }
-  result.tree.best_seconds = Best(result.tree.samples);
-  result.flat.best_seconds = Best(result.flat.samples);
-  result.speedup = PairedSpeedup(result.tree, result.flat);
+  result.calibrated_cost = NanosPerStep(Best(result.flat), result.steps_per_run) /
+                           NanosPerIter(Best(result.calibration));
   return result;
 }
 
-double RunsPerSecond(const ModeResult& mode) {
-  return kRunsPerBatch / mode.best_seconds;
-}
-
-double NanosPerStep(const ModeResult& mode) {
-  return mode.best_seconds * 1e9 / (static_cast<double>(kRunsPerBatch) *
-                                    static_cast<double>(mode.steps_per_run));
-}
-
-void PrintCaseRows(const CaseResult& result) {
-  for (const ModeResult* mode : {&result.tree, &result.flat}) {
-    PrintRow({result.id, mode->mode, std::to_string(mode->steps_per_run),
-              StrFormat("%.0f", RunsPerSecond(*mode)),
-              StrFormat("%.1f", NanosPerStep(*mode)),
-              mode == &result.flat ? StrFormat("%.2fx", result.speedup) : "-"},
-             {10, 6, 8, 12, 10, 9});
-  }
-}
-
 int Main() {
+  const std::vector<uint32_t> table = CalibrationTable();
   std::vector<CaseResult> results;
-  results.push_back(BenchCase("zk-2247"));
-  results.push_back(BenchCase("hd-net-1"));
+  for (const Recorded& recorded : kCases) {
+    results.push_back(BenchCase(recorded, table));
+  }
 
-  std::printf("Interpreter throughput: flattened direct-threaded vs tree walker\n"
-              "(fault-free workload, best of %d interleaved %d-run batches)\n\n",
-              kRepetitions, kRunsPerBatch);
-  PrintRow({"case", "mode", "steps", "runs/sec", "ns/step", "speedup"},
-           {10, 6, 8, 12, 10, 9});
+  std::printf("Interpreter throughput against a fixed calibration loop\n"
+              "(fault-free workload, %d interleaved pairs of %d-run / %d-iteration "
+              "batches)\n\n",
+              kRepetitions, kRunsPerBatch, kCalibrationIters);
+  PrintRow({"case", "steps", "runs/sec", "ns/step", "calib ns/it", "cost", "recorded"},
+           {10, 8, 12, 10, 12, 8, 9});
   for (const CaseResult& result : results) {
-    PrintCaseRows(result);
+    double best = Best(result.flat);
+    PrintRow({result.id, std::to_string(result.steps_per_run),
+              StrFormat("%.0f", kRunsPerBatch / best),
+              StrFormat("%.1f", NanosPerStep(best, result.steps_per_run)),
+              StrFormat("%.3f", NanosPerIter(Best(result.calibration))),
+              StrFormat("%.2f", result.calibrated_cost),
+              StrFormat("%.2f", result.recorded_cost)},
+             {10, 8, 12, 10, 12, 8, 9});
   }
 
   FILE* json = std::fopen("BENCH_interp.json", "w");
   ANDURIL_CHECK(json != nullptr);
   std::fprintf(json,
                "{\n  \"repetitions\": %d,\n  \"runs_per_batch\": %d,\n"
-               "  \"speedup_floor\": %.2f,\n  \"cases\": [\n",
-               kRepetitions, kRunsPerBatch, kSpeedupFloor);
+               "  \"calibration_iters\": %d,\n  \"gate_factor\": %.2f,\n  \"cases\": [\n",
+               kRepetitions, kRunsPerBatch, kCalibrationIters, kGateFactor);
   for (size_t i = 0; i < results.size(); ++i) {
     const CaseResult& result = results[i];
+    double best = Best(result.flat);
     std::fprintf(json,
-                 "    {\"case\": \"%s\", \"speedup\": %.4f, "
-                 "\"steps_per_run\": %lld,\n",
-                 result.id.c_str(), result.speedup,
-                 static_cast<long long>(result.tree.steps_per_run));
-    const ModeResult* mode_list[2] = {&result.tree, &result.flat};
-    for (int m = 0; m < 2; ++m) {
-      const ModeResult& mode = *mode_list[m];
-      std::fprintf(json,
-                   "     \"%s\": {\"best_seconds\": %.6f, \"runs_per_sec\": %.1f, "
-                   "\"ns_per_step\": %.2f}%s\n",
-                   mode.mode.c_str(), mode.best_seconds, RunsPerSecond(mode),
-                   NanosPerStep(mode), m == 0 ? "," : "");
-    }
-    std::fprintf(json, "    }%s\n", i + 1 < results.size() ? "," : "");
+                 "    {\"case\": \"%s\", \"steps_per_run\": %lld,\n"
+                 "     \"flat\": {\"best_seconds\": %.6f, \"runs_per_sec\": %.1f, "
+                 "\"ns_per_step\": %.2f},\n"
+                 "     \"calibration_ns_per_iter\": %.4f,\n"
+                 "     \"calibrated_cost\": %.4f, \"recorded_cost\": %.4f, "
+                 "\"ceiling\": %.4f}%s\n",
+                 result.id.c_str(), static_cast<long long>(result.steps_per_run), best,
+                 kRunsPerBatch / best, NanosPerStep(best, result.steps_per_run),
+                 NanosPerIter(Best(result.calibration)), result.calibrated_cost,
+                 result.recorded_cost, kGateFactor * result.recorded_cost,
+                 i + 1 < results.size() ? "," : "");
   }
   std::fprintf(json, "  ]\n}\n");
   std::fclose(json);
   std::printf("\nWrote BENCH_interp.json\n");
 
   for (const CaseResult& result : results) {
-    std::printf("%s: flat is %.2fx the tree walker (floor %.1fx)\n", result.id.c_str(),
-                result.speedup, kSpeedupFloor);
-    ANDURIL_CHECK(result.speedup >= kSpeedupFloor)
-        << "flattened-interpreter regression on " << result.id;
+    double ceiling = kGateFactor * result.recorded_cost;
+    std::printf("%s: calibrated cost %.2f (recorded %.2f, ceiling %.2f)\n", result.id.c_str(),
+                result.calibrated_cost, result.recorded_cost, ceiling);
+    ANDURIL_CHECK(result.calibrated_cost <= ceiling)
+        << "interpreter regression on " << result.id << ": calibrated cost "
+        << result.calibrated_cost << " exceeds " << kGateFactor << "x the recorded "
+        << result.recorded_cost;
   }
   return 0;
 }

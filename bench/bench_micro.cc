@@ -104,8 +104,10 @@ void BM_InjectionDecision(benchmark::State& state) {
       built.program->method(site.location.method).stmt(site.location.stmt);
   int64_t clock = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        runtime.OnExternalCall(built.ground_truth.site, stmt, clock++, 0, 0));
+    benchmark::DoNotOptimize(runtime.OnExternalCall(
+        built.ground_truth.site,
+        stmt.throwable_types.empty() ? ir::kInvalidId : stmt.throwable_types.front(),
+        stmt.transient_every_n, clock++, 0, 0));
   }
 }
 BENCHMARK(BM_InjectionDecision);

@@ -19,9 +19,7 @@ ExplorerContext::ExplorerContext(const ExperimentSpec& spec, const ExplorerOptio
 
   // Lower the program once for the flattened interpreter (§7-style
   // precomputation); every run of the search shares it read-only.
-  if (!options.tree_walk_interpreter) {
-    flat_program_ = std::make_unique<const ir::FlatProgram>(program);
-  }
+  flat_program_ = std::make_unique<const ir::FlatProgram>(program);
 
   // Step 1: run the workload fault-free to obtain the normal log and the
   // fault-instance distribution.
@@ -30,9 +28,6 @@ ExplorerContext::ExplorerContext(const ExperimentSpec& spec, const ExplorerOptio
   runtime.SetPinned(spec.pinned_faults);  // multi-fault mode: part of the workload
   interp::Simulator simulator(&program, spec.cluster, spec.base_seed, &runtime,
                               flat_program_.get());
-  if (options.tree_walk_interpreter) {
-    simulator.set_tree_walk(true);
-  }
   interp::RunResult normal = simulator.Run();
   normal_workload_seconds_ = workload_timer.ElapsedSeconds();
   normal_trace_ = normal.trace;

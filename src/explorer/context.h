@@ -114,9 +114,8 @@ class ExplorerContext {
   // The fault-free run's instance trace in execution order.
   const std::vector<interp::FaultInstanceEvent>& normal_trace() const { return normal_trace_; }
 
-  // The program lowered once for the flattened interpreter, shared read-only
-  // by every run of every round and thread of the exploration. Null when the
-  // options selected the tree-walk interpreter.
+  // The program lowered once for the interpreter, shared read-only by every
+  // run of every round and thread of the exploration. Never null.
   const ir::FlatProgram* flat_program() const { return flat_program_.get(); }
 
   double init_seconds() const { return init_seconds_; }

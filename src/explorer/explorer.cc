@@ -55,7 +55,7 @@ interp::RunScratch& LocalScratch() {
   return scratch;
 }
 
-RepRun ExecuteOne(const ExperimentSpec& spec, const ir::FlatProgram* flat, bool tree_walk,
+RepRun ExecuteOne(const ExperimentSpec& spec, const ir::FlatProgram* flat,
                   const std::vector<interp::InjectionCandidate>& window, uint64_t seed,
                   obs::MetricsRegistry* metrics) {
   RepRun rep;
@@ -70,9 +70,6 @@ RepRun ExecuteOne(const ExperimentSpec& spec, const ir::FlatProgram* flat, bool 
   runtime->SetPinned(spec.pinned_faults);
   interp::Simulator simulator(spec.program, spec.cluster, seed, runtime.get(), flat,
                               &scratch);
-  if (tree_walk) {
-    simulator.set_tree_walk(true);
-  }
   simulator.set_metrics(metrics);
   rep.run = simulator.Run();
   rep.success = spec.oracle(*spec.program, rep.run) && rep.run.injected.has_value();
@@ -119,16 +116,15 @@ RoundPlan PlanRound(const ExperimentSpec& spec, const ExplorerOptions& options, 
 // item and lets the caller select by plan order, which yields the same
 // selection.
 std::vector<RepRun> ExecutePlan(const ExperimentSpec& spec, const ir::FlatProgram* flat,
-                                bool tree_walk, const RoundPlan& plan, ThreadPool* pool,
+                                const RoundPlan& plan, ThreadPool* pool,
                                 obs::MetricsRegistry* metrics) {
   std::vector<RepRun> executed;
   if (pool != nullptr && plan.items.size() > 1) {
     std::vector<std::future<RepRun>> futures;
     futures.reserve(plan.items.size());
     for (const auto& [window, seed] : plan.items) {
-      futures.push_back(pool->Submit([&spec, flat, tree_walk, &window, seed = seed,
-                                      metrics]() {
-        return ExecuteOne(spec, flat, tree_walk, window, seed, metrics);
+      futures.push_back(pool->Submit([&spec, flat, &window, seed = seed, metrics]() {
+        return ExecuteOne(spec, flat, window, seed, metrics);
       }));
     }
     executed.reserve(futures.size());
@@ -137,7 +133,7 @@ std::vector<RepRun> ExecutePlan(const ExperimentSpec& spec, const ir::FlatProgra
     }
   } else {
     for (const auto& [window, seed] : plan.items) {
-      executed.push_back(ExecuteOne(spec, flat, tree_walk, window, seed, metrics));
+      executed.push_back(ExecuteOne(spec, flat, window, seed, metrics));
       if (executed.back().success) {
         break;
       }
@@ -431,11 +427,10 @@ ExploreResult Explorer::Explore(InjectionStrategy* strategy, const CheckpointCon
     // lowered from; a context shared across specs with a different (equal)
     // program falls back to per-run self-lowering inside the simulator.
     const ir::FlatProgram* flat = context_->flat_program();
-    if (flat != nullptr && flat->program() != spec_->program) {
+    if (flat->program() != spec_->program) {
       flat = nullptr;
     }
-    std::vector<RepRun> executed =
-        ExecutePlan(*spec_, flat, options_.tree_walk_interpreter, plan, pool, metrics);
+    std::vector<RepRun> executed = ExecutePlan(*spec_, flat, plan, pool, metrics);
     // Transient-failure retry: when the watchdog wall budget killed a run
     // the round's feedback is an artifact of host load, not of the fault.
     // Back off (bounded exponential + jitter) and re-execute the identical
@@ -450,8 +445,7 @@ ExploreResult Explorer::Explore(InjectionStrategy* strategy, const CheckpointCon
                             obs::kRoundStride - obs::kItemStride + record.retries,
                         0, {obs::ArgInt("attempt", record.retries)});
       }
-      executed = ExecutePlan(*spec_, flat, options_.tree_walk_interpreter, plan, pool,
-                             metrics);
+      executed = ExecutePlan(*spec_, flat, plan, pool, metrics);
     }
     retry_backoff.Reset();
     record.run_seconds = run_timer.ElapsedSeconds();

@@ -124,47 +124,43 @@ class FaultRuntime {
   // large; baselines that do not need it can turn it off).
   void set_tracing(bool enabled) { tracing_ = enabled; }
 
-  // Called by the interpreter right before an external call executes.
-  // Returns the action to take: throw an exception (injected, pinned, or
-  // natural transient), crash the node, stall the call, or proceed normally.
-  FaultAction OnExternalCall(ir::FaultSiteId site, const ir::Stmt& stmt, int64_t log_clock,
-                             int64_t time_ms, int32_t thread_id);
-
-  // Called by the interpreter right before a Send statement hands its
-  // message to the network. Same tracing and window/pinned matching as
-  // OnExternalCall, but the only kinds that can fire are the network ones
-  // (drop/delay/duplicate/partition) and there is no natural transient.
-  FaultAction OnSend(ir::FaultSiteId site, int64_t log_clock, int64_t time_ms,
-                     int32_t thread_id);
-
-  // Hot-path variants used by the flattened interpreter, with the
-  // statement's transient parameters pre-decoded by the flattener. Decision
-  // semantics and tracing are identical to the legacy hooks above; the
-  // difference is cost. The per-site occurrence bump is a dense-array
-  // increment and the armed check is one bitmap word load + branch (built by
-  // BeginRun from the window + pinned sets), so the common not-armed case
-  // never hashes — and the whole not-armed path is inlined into the
-  // dispatch loop (only the armed candidate scan and the timed stride leave
-  // the header). Decision latency is sampled — every kDecisionSample-th
-  // request is timed and extrapolated — instead of reading the clock twice
-  // per request; decision_nanos() stays an estimate of the same quantity.
+  // Called by the interpreter right before an external call executes, with
+  // the statement's natural-transient parameters pre-decoded by the
+  // flattener. Returns the action to take: throw an exception (injected,
+  // pinned, or natural transient), crash the node, stall the call, or
+  // proceed normally.
+  //
+  // OnSend is its counterpart for a Send statement about to hand its message
+  // to the network: same tracing and window/pinned matching, but the only
+  // kinds that can fire are the network ones (drop/delay/duplicate/
+  // partition) and there is no natural transient.
+  //
+  // Both are built for the dispatch loop. The per-site occurrence bump is a
+  // dense-array increment and the armed check is one bitmap word load +
+  // branch (built by BeginRun from the window + pinned sets), so the common
+  // not-armed case never hashes — and the whole not-armed path is inlined
+  // into the dispatch loop (only the armed candidate scan and the timed
+  // stride leave the header). Decision latency is sampled — every
+  // kDecisionSample-th request is timed and extrapolated — instead of
+  // reading the clock twice per request; decision_nanos() stays an estimate
+  // of the same quantity.
   // Requires BeginRun() (the armed bitmap is compiled there).
-  FaultAction OnExternalCallFast(ir::FaultSiteId site, ir::ExceptionTypeId transient_type,
-                                 int32_t transient_every_n, int64_t log_clock,
-                                 int64_t time_ms, int32_t thread_id) {
+  FaultAction OnExternalCall(ir::FaultSiteId site, ir::ExceptionTypeId transient_type,
+                             int32_t transient_every_n, int64_t log_clock, int64_t time_ms,
+                             int32_t thread_id) {
     if ((injection_requests_ & (kDecisionSample - 1)) == 0) {
-      return OnExternalCallFastTimed(site, transient_type, transient_every_n, log_clock,
-                                     time_ms, thread_id);
+      return OnExternalCallTimed(site, transient_type, transient_every_n, log_clock, time_ms,
+                                 thread_id);
     }
-    return ExternalCallFastImpl(site, transient_type, transient_every_n, log_clock, time_ms,
-                                thread_id);
+    return ExternalCallImpl(site, transient_type, transient_every_n, log_clock, time_ms,
+                            thread_id);
   }
-  FaultAction OnSendFast(ir::FaultSiteId site, int64_t log_clock, int64_t time_ms,
-                         int32_t thread_id) {
+  FaultAction OnSend(ir::FaultSiteId site, int64_t log_clock, int64_t time_ms,
+                     int32_t thread_id) {
     if ((injection_requests_ & (kDecisionSample - 1)) == 0) {
-      return OnSendFastTimed(site, log_clock, time_ms, thread_id);
+      return OnSendTimed(site, log_clock, time_ms, thread_id);
     }
-    return SendFastImpl(site, log_clock, time_ms, thread_id);
+    return SendImpl(site, log_clock, time_ms, thread_id);
   }
 
   // Resets per-run state (occurrence counters, trace, request count) while
@@ -224,29 +220,23 @@ class FaultRuntime {
   void FlushMetrics(obs::MetricsRegistry* metrics) const;
 
  private:
-  // Shared pinned/window matching: traces the instance, fills `action` and
-  // returns true when a pinned or window candidate fired at (site,
-  // occurrence). Natural transients are the caller's (OnExternalCall's)
-  // business.
-  bool Decide(ir::FaultSiteId site, int64_t log_clock, int64_t time_ms, int32_t thread_id,
-              FaultAction* action);
-  // The scan half of Decide: matches (site, occurrence) against pinned +
-  // window candidates. Cold — only reached when the site's armed bit is set
-  // (fast path) or on every legacy Decide call.
+  // Matches (site, occurrence) against pinned + window candidates, fills
+  // `action` and returns true when one fired. Cold — only reached when the
+  // site's armed bit is set.
   bool MatchArmed(ir::FaultSiteId site, int64_t occurrence, FaultAction* action);
-  // Armed-site halves of the fast hooks: candidate scan plus a kind sanity
+  // Armed-site halves of the hooks: candidate scan plus a kind sanity
   // check. Cold by construction — a clear armed bit skips them entirely.
   bool ExternalCallMatchArmed(ir::FaultSiteId site, int64_t occurrence, FaultAction* action);
   bool SendMatchArmed(ir::FaultSiteId site, int64_t occurrence, FaultAction* action);
   // Timed-stride variants: run the same impl between two clock reads and
   // extrapolate across the stride.
-  FaultAction OnExternalCallFastTimed(ir::FaultSiteId site, ir::ExceptionTypeId transient_type,
-                                      int32_t transient_every_n, int64_t log_clock,
-                                      int64_t time_ms, int32_t thread_id);
-  FaultAction OnSendFastTimed(ir::FaultSiteId site, int64_t log_clock, int64_t time_ms,
-                              int32_t thread_id);
+  FaultAction OnExternalCallTimed(ir::FaultSiteId site, ir::ExceptionTypeId transient_type,
+                                  int32_t transient_every_n, int64_t log_clock,
+                                  int64_t time_ms, int32_t thread_id);
+  FaultAction OnSendTimed(ir::FaultSiteId site, int64_t log_clock, int64_t time_ms,
+                          int32_t thread_id);
 
-  // One in every kDecisionSample fast-hook requests is timed. Power of two
+  // One in every kDecisionSample hook requests is timed. Power of two
   // so the stride test is a mask.
   static constexpr int64_t kDecisionSample = 256;
 
@@ -269,9 +259,9 @@ class FaultRuntime {
   }
   void GrowTrace();
 
-  FaultAction ExternalCallFastImpl(ir::FaultSiteId site, ir::ExceptionTypeId transient_type,
-                                   int32_t transient_every_n, int64_t log_clock,
-                                   int64_t time_ms, int32_t thread_id) {
+  FaultAction ExternalCallImpl(ir::FaultSiteId site, ir::ExceptionTypeId transient_type,
+                               int32_t transient_every_n, int64_t log_clock, int64_t time_ms,
+                               int32_t thread_id) {
     ++injection_requests_;
     int64_t occurrence = BumpOccurrence(site);
     FaultAction action;
@@ -291,8 +281,8 @@ class FaultRuntime {
     }
     return action;
   }
-  FaultAction SendFastImpl(ir::FaultSiteId site, int64_t log_clock, int64_t time_ms,
-                           int32_t thread_id) {
+  FaultAction SendImpl(ir::FaultSiteId site, int64_t log_clock, int64_t time_ms,
+                       int32_t thread_id) {
     ++injection_requests_;
     int64_t occurrence = BumpOccurrence(site);
     FaultAction action;

@@ -11,14 +11,12 @@
 // injection window). This is what lets a successful search end with a script
 // that deterministically reproduces the failure (§3 step 4.a).
 //
-// Execution modes: by default the simulator runs the flattened
-// direct-threaded program (ir::FlatProgram) — a caller may supply a shared
-// pre-built one (the explorer builds it once per context), otherwise the
-// simulator compiles its own at Run(). set_tree_walk(true) selects the
-// original statement-tree walker instead; both modes execute the identical
-// step sequence and produce identical RunResults (asserted across all
-// registered scenarios by tests/interp_equivalence_test.cc), differing only
-// in speed.
+// Execution: the simulator runs the flattened, direct-threaded program
+// (ir::FlatProgram). A caller may supply a shared pre-built one (the explorer
+// builds it once per context); otherwise the simulator lowers its own at
+// Run(). One step is one executed op, so `sim.steps` and the step limit are
+// defined by the op stream (see flatten.h). Observable run semantics are
+// pinned by the golden RunResult digests in tests/interp_equivalence_test.cc.
 //
 // Thread compatibility: a Simulator only *reads* the Program, ClusterSpec,
 // and FlatProgram it is given (all held by const pointer; none has lazy
@@ -88,17 +86,12 @@ class RunScratch {
 class Simulator {
  public:
   // `flat` is an optional pre-built flattening of `program` (shared,
-  // read-only); when null and the flat mode is active, Run() compiles one
-  // privately. `scratch` optionally pools per-run buffers across runs.
+  // read-only); when null, Run() lowers one privately. `scratch` optionally
+  // pools per-run buffers across runs.
   Simulator(const ir::Program* program, const ClusterSpec* spec, uint64_t seed,
             FaultRuntime* fault_runtime, const ir::FlatProgram* flat = nullptr,
             RunScratch* scratch = nullptr);
   ~Simulator();
-
-  // Selects the legacy statement-tree walker instead of the flattened
-  // dispatch loop. Kept for differential testing while the flattened path
-  // burns in (ExplorerOptions::tree_walk_interpreter); call before Run().
-  void set_tree_walk(bool tree_walk) { use_flat_ = !tree_walk; }
 
   // Attaches a metrics sink; at the end of Run() the simulator folds its
   // per-run accounting ("sim.*") plus the fault runtime's ("fault.*") and
@@ -125,27 +118,10 @@ class Simulator {
     const ExcValue& Root() const { return cause ? cause->Root() : *this; }
   };
 
-  // --- Interpreter frames -----------------------------------------------------
-  struct Cursor {
-    enum class Ctx : uint8_t { kPlain, kWhileBody, kTryBody, kCatchBody };
-    ir::StmtId block = ir::kInvalidId;
-    int32_t next_child = 0;
-    Ctx ctx = Ctx::kPlain;
-    ir::StmtId ctx_stmt = ir::kInvalidId;  // the While / TryCatch statement
-    int64_t loop_iter = 0;
-    ExcValue caught;  // valid in kCatchBody
-  };
-
+  // Call frame of the dispatch loop: a program counter into the shared op
+  // array plus this frame's base offsets into the thread's loop-iteration and
+  // caught-exception slot stacks.
   struct Frame {
-    ir::MethodId method = ir::kInvalidId;
-    int64_t payload = 0;
-    std::vector<Cursor> cursors;
-  };
-
-  // Call frame of the flattened dispatch loop: a program counter into the
-  // shared op array plus this frame's base offsets into the thread's
-  // loop-iteration and caught-exception slot stacks.
-  struct FlatFrame {
     int32_t pc = 0;
     ir::MethodId method = ir::kInvalidId;
     int64_t payload = 0;
@@ -164,10 +140,9 @@ class Simulator {
     int32_t node = -1;
     std::string name;
     std::deque<Task> queue;
-    std::vector<Frame> stack;       // tree-walk mode
-    std::vector<FlatFrame> fstack;  // flat mode
-    std::vector<int64_t> loop_iters;  // flat mode: frame-relative loop slots
-    std::vector<ExcValue> caughts;    // flat mode: frame-relative caught slots
+    std::vector<Frame> stack;
+    std::vector<int64_t> loop_iters;  // frame-relative loop slots
+    std::vector<ExcValue> caughts;    // frame-relative caught slots
     int64_t current_future = -1;
 
     enum class State : uint8_t { kIdle, kBlocked, kDead };
@@ -227,37 +202,25 @@ class Simulator {
     }
   };
 
-  enum class StepResult : uint8_t { kContinue, kBlocked, kTaskDone, kTaskFailed, kDied };
   enum class RaiseResult : uint8_t { kHandled, kTaskFailed, kThreadDied };
 
-  // --- Tree-walk core loop ----------------------------------------------------
+  // --- Core loop --------------------------------------------------------------
   void RunThread(Thread* thread);
-  StepResult Step(Thread* thread);
-  StepResult ExecStmt(Thread* thread, ir::MethodId method_id, ir::StmtId stmt_id);
   RaiseResult Raise(Thread* thread, ExcValue exc);
   void HandleUncaught(Thread* thread, const ExcValue& exc);
-  void ProcessWake(const Event& event);
-
-  // --- Flattened core loop ----------------------------------------------------
-  void RunThreadFlat(Thread* thread);
-  RaiseResult FlatRaise(Thread* thread, ExcValue exc);
-  void ProcessWakeFlat(const Event& event);
-  void PushFlatFrame(Thread* thread, ir::MethodId method, int64_t payload);
-  void PopFlatFrame(Thread* thread);
+  void HandleWake(const Event& event);
+  void PushFrame(Thread* thread, ir::MethodId method, int64_t payload);
+  void PopFrame(Thread* thread);
   Thread* FlatThread(int32_t node, int32_t name_id);
-  void EmitLogFlat(Thread* thread, const FlatFrame& frame, const ir::FlatOp& op);
+  void EmitLog(Thread* thread, const Frame& frame, const ir::FlatOp& op);
   void PrepareFlatRun();
 
   // --- Helpers ----------------------------------------------------------------
   int32_t NodeIndex(const std::string& name) const;
   Thread* GetThread(int32_t node, const std::string& name);
   int64_t& EnvRef(int32_t node, ir::VarId var);
-  int64_t EvalExpr(const Thread& thread, const Frame& frame, const ir::Expr& expr);
-  bool EvalCond(const Thread& thread, const ir::Cond& cond);
   int64_t EvalExprAt(int32_t node, int64_t payload, const ir::Expr& expr) const;
   bool EvalCondAt(int32_t node, const ir::Cond& cond) const;
-  void EmitLog(Thread* thread, const ir::Stmt& stmt, ir::MethodId method_id,
-               ir::StmtId stmt_id);
   void EmitBuiltinLog(Thread* thread, ir::LogLevel level, const std::string& logger,
                       const std::string& message, ir::MethodId uncaught_method);
   // Returns the next log slot: a recycled entry (overwritten in place by the
@@ -270,9 +233,8 @@ class Simulator {
     ++log_len_;
     return log_.emplace_back();
   }
-  std::string DescribeException(const ExcValue& exc) const;
-  // Appends DescribeException(exc) to `out` byte-for-byte, without the
-  // vsnprintf round trips (the flat interpreter's log hot path).
+  // Appends "<type> at <origin>[; caused by <cause type>]" to `out` (the
+  // " [exc=...]" suffix of logs that attach the caught exception).
   void AppendExceptionDescription(std::string* out, const ExcValue& exc) const;
   void PushEvent(Event event);
   Event PopEvent();
@@ -289,7 +251,6 @@ class Simulator {
   void UnblockThread(Thread* thread);
   void WakeWaitersOf(int32_t node, ir::VarId var);
   void CompleteFuture(int64_t future_id, ExcValue exc);
-  const ExcValue* CurrentCaught(const Thread& thread) const;
   void ResetThread(Thread* thread);
   void BorrowScratch();
   void ReturnScratch();
@@ -299,7 +260,6 @@ class Simulator {
   FaultRuntime* fault_runtime_;
   const ir::FlatProgram* flat_ = nullptr;
   std::unique_ptr<ir::FlatProgram> owned_flat_;
-  bool use_flat_ = true;
   RunScratch* scratch_ = nullptr;
   Rng rng_;
   NetworkModel network_;
@@ -311,12 +271,11 @@ class Simulator {
   std::vector<std::unique_ptr<Thread>> threads_;
   std::unordered_map<std::string, int32_t> thread_index_;  // "node_idx/name"
 
-  // Flat mode: (node * thread_name_count + name_id) -> thread id, lazily
+  // (node * thread_name_count + name_id) -> thread id, lazily
   // filled so hot Send/Submit statements skip the string-keyed map.
   std::vector<int32_t> flat_threads_;
-  // Flat mode: per-FlatSend static target node index (-1 = dynamic target or
-  // unknown node; unknown is CHECKed when the send executes, matching the
-  // tree walker).
+  // Per-FlatSend static target node index (-1 = dynamic target or unknown
+  // node; unknown is CHECKed when the send executes).
   std::vector<int32_t> send_targets_;
 
   // (node, var) -> blocked waiter thread ids

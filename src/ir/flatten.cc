@@ -41,27 +41,24 @@ const char* OpCodeName(OpCode code) {
   return "unknown";
 }
 
-// Lowers one method. Emission preserves the tree walker's step accounting —
-// every op corresponds to exactly one Step() of the tree interpreter:
+// Lowers one method. Every executed op costs one step, so this table is the
+// interpreter's step accounting:
 //
-//   statement        tree steps                      flat ops
-//   ---------        ----------                      --------
-//   simple stmt      1 (dispatch)                    the stmt's op
-//   Block            1 entry + body + 1 exit-pop     kNop + body + kNop
-//   If, taken arm    1 + arm body + 1 arm-pop        kBranch + body + kJump/kNop
-//   If, no arm       1                               kBranch straight to merge
-//   While, N iters   1 + N re-checks + N bodies      kLoopEnter + N x (body
-//                    (re-check N is the false one)     + kLoopBack)
-//   Invoke           1 + callee + 1 root-pop         kInvoke + callee + kReturn
-//   TryCatch         1 + try body + 1 try-pop        kNop + body + kJump(merge)
-//   caught clause    0 entry + body + 1 catch-pop    (raise sets pc) + body
-//                                                      + kJump(merge)
-//   Break            1 (pops through the loop)       kJump past kLoopBack
-//   Return           1                               kReturn
+//   statement        ops emitted                        steps
+//   ---------        -----------                        -----
+//   simple stmt      the stmt's op                      1
+//   Block            kNop + body + kNop                 1 + body + 1
+//   If, taken arm    kBranch + body + kJump/kNop        1 + arm body + 1
+//   If, no arm       kBranch straight to merge          1
+//   While, N iters   kLoopEnter + N x (body + kLoopBack) 1 + N bodies + N
+//                                                       re-checks (the Nth false)
+//   Invoke           kInvoke + callee + kReturn         1 + callee + 1
+//   TryCatch         kNop + body + kJump(merge)         1 + try body + 1
+//   caught clause    (raise sets pc) + body + kJump     0 + body + 1
+//   Break            kJump past kLoopBack               1
+//   Return           kReturn                            1
 //
-// The raise path costs zero steps in both modes (the tree walker rewrites a
-// cursor in place; the flat walker rewrites pc), as do wakeups and task
-// pulls.
+// A raise costs zero steps (it rewrites pc), as do wakeups and task pulls.
 struct MethodLowering {
   FlatProgram* out;
   const Program* program;
@@ -144,7 +141,7 @@ struct MethodLowering {
         return;
 
       case StmtKind::kBlock: {
-        // Tree: one step to push the cursor, one to pop it when exhausted.
+        // One step on entry, one on exit.
         Emit(OpCode::kNop, stmt_id);
         LowerChildren(stmt_id);
         Emit(OpCode::kNop, stmt_id);
@@ -166,9 +163,8 @@ struct MethodLowering {
 
       case StmtKind::kIf: {
         // kBranch is the If dispatch step. A taken arm executes its children
-        // directly (the tree repurposes one cursor, so arm entry is free)
-        // and pays one exit step — kJump to merge for the then arm, kNop
-        // fall-through for the else arm — matching the tree's cursor pop.
+        // directly (arm entry is free) and pays one exit step: kJump to
+        // merge for the then arm, kNop fall-through for the else arm.
         int32_t branch = Here();
         {
           FlatOp& op = Emit(OpCode::kBranch, stmt_id);
@@ -202,9 +198,8 @@ struct MethodLowering {
 
       case StmtKind::kWhile: {
         // kLoopEnter is the While dispatch step (false: straight to merge,
-        // one step, like the tree's no-push dispatch). kLoopBack is the
-        // end-of-body re-check step; on true it applies the tree's runaway
-        // cap before jumping back to the body.
+        // one step). kLoopBack is the end-of-body re-check step; on true it
+        // applies the runaway-loop cap before jumping back to the body.
         int32_t slot = loop_depth;
         max_loops = std::max(max_loops, slot + 1);
         int32_t enter = Here();
@@ -239,11 +234,11 @@ struct MethodLowering {
 
       case StmtKind::kTryCatch: {
         // kNop is the TryCatch dispatch step. The try body runs under a new
-        // handler record; its exit kJump is the tree's try-cursor pop.
-        // Catch entry costs zero steps (a raise rewrites pc directly, as
-        // the tree rewrites the cursor), and each catch body's exit kJump
-        // is its cursor pop. Ops inside a catch body resolve against the
-        // *enclosing* handler — the try that caught no longer handles.
+        // handler record and leaves through an exit kJump (one step).
+        // Catch entry costs zero steps (a raise rewrites pc directly), and
+        // each catch body leaves through its own exit kJump. Ops inside a
+        // catch body resolve against the *enclosing* handler — the try that
+        // caught no longer handles.
         Emit(OpCode::kNop, stmt_id);
         int32_t slot = catch_depth;
         max_caught = std::max(max_caught, slot + 1);
@@ -362,8 +357,8 @@ struct MethodLowering {
     flat.id = method->id;
     flat.entry = Here();
     // The root block's children run directly off the task frame (no entry
-    // step in the tree), and the frame pop when they are exhausted is the
-    // trailing kReturn — unreachable when the method ends in Return.
+    // step), and the frame pop when they are exhausted is the trailing
+    // kReturn — unreachable when the method ends in Return.
     LowerChildren(0);
     Emit(OpCode::kReturn, 0);
     flat.loop_slots = max_loops;

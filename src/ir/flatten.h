@@ -2,9 +2,8 @@
 // direct-threaded dispatch loop.
 //
 // The statement tree is the IR of record — the causal analysis, the
-// verifier, and the fault-site registry all work on it — but walking it
-// costs a cursor stack, a parent chase, and a re-switch on `stmt.kind` at
-// every step. FlatProgram lowers every finalized method once into a single
+// verifier, and the fault-site registry all work on it — but it is not what
+// runs. FlatProgram lowers every finalized method once into a single
 // contiguous op array with everything the hot loop needs pre-resolved:
 //
 //   - control flow as absolute op indices (branch targets, loop back-edges,
@@ -20,11 +19,13 @@
 //     parent, and each catch body writes its caught exception into a fixed
 //     per-frame slot.
 //
-// Step-count parity: the lowering emits exactly one op per interpreter
-// *step* of the tree walker — including its bookkeeping steps (block
-// entry/exit, while re-checks, frame pops) — so `sim.steps`, step limits,
-// and every downstream golden are identical between the two execution
-// modes. The mapping is documented per-construct in flatten.cc.
+// Step accounting: one executed op is one interpreter *step*, so the op
+// stream defines `sim.steps` and ClusterSpec::step_limit. Structured
+// statements carry bookkeeping ops (kNop block entry/exit, kLoopBack
+// re-checks, trailing kReturn) that each cost a step; raises, wakeups and
+// task pulls cost none. The per-construct costs are tabled in flatten.cc.
+// Changing them moves step counts, and with them the step-limited outcomes
+// and every golden digest, trace and signature downstream.
 //
 // A FlatProgram is immutable after construction and holds no run state, so
 // one instance is shared read-only across all runs, rounds, and worker
@@ -95,7 +96,7 @@ struct FlatHandler {
 
 // A log statement pre-split on its "{}" placeholders: the rendered message
 // is segments[0] + arg0 + segments[1] + arg1 + ... (missing args render as
-// 0, matching the tree walker).
+// 0).
 struct FlatLog {
   LogTemplateId tmpl = kInvalidId;
   LogLevel level = LogLevel::kInfo;

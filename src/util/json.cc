@@ -1,11 +1,60 @@
 #include "src/util/json.h"
 
 #include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
 namespace anduril {
 namespace {
+
+// True when `token` is exactly one JSON number,
+// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?; *is_double is set when it
+// has a fraction or exponent. (strtod alone also takes "+1", ".5", "1.",
+// "0x10", "inf" and "nan".)
+bool IsJsonNumber(const std::string& token, bool* is_double) {
+  size_t i = 0;
+  auto digits = [&] {
+    size_t start = i;
+    while (i < token.size() && std::isdigit(static_cast<unsigned char>(token[i]))) {
+      ++i;
+    }
+    return i > start;
+  };
+  if (i < token.size() && token[i] == '-') {
+    ++i;
+  }
+  if (i < token.size() && token[i] == '0') {
+    ++i;
+  } else if (!digits()) {
+    return false;
+  }
+  *is_double = false;
+  if (i < token.size() && token[i] == '.') {
+    ++i;
+    if (!digits()) {
+      return false;
+    }
+    *is_double = true;
+  }
+  if (i < token.size() && (token[i] == 'e' || token[i] == 'E')) {
+    ++i;
+    if (i < token.size() && (token[i] == '+' || token[i] == '-')) {
+      ++i;
+    }
+    if (!digits()) {
+      return false;
+    }
+    *is_double = true;
+  }
+  return i == token.size();
+}
+
+// Deepest array/object nesting the parser accepts. Every file this project
+// writes nests at most 5 deep; the cap keeps the recursive descent's stack
+// bounded on hostile input.
+constexpr int kMaxDepth = 64;
 
 struct Parser {
   const std::string& text;
@@ -104,12 +153,53 @@ struct Parser {
     return Fail("unterminated string");
   }
 
-  bool ParseValue(JsonValue* out) {
+  bool ParseNumber(JsonValue* out) {
+    // The token runs to the next delimiter, so "1.2.3" and "1-2" are
+    // reported whole instead of as a number plus trailing content.
+    size_t end = pos;
+    while (end < text.size() && (std::isalnum(static_cast<unsigned char>(text[end])) ||
+                                 text[end] == '.' || text[end] == '-' || text[end] == '+')) {
+      ++end;
+    }
+    std::string token = text.substr(pos, end - pos);
+    bool is_double = false;
+    if (!IsJsonNumber(token, &is_double)) {
+      return Fail("malformed number '" + token + "'");
+    }
+    errno = 0;
+    char* parsed_end = nullptr;
+    if (is_double) {
+      double value = std::strtod(token.c_str(), &parsed_end);
+      // Underflow rounds to a subnormal or zero, which is faithful enough;
+      // overflow to infinity has no JSON spelling and would not round-trip.
+      if (errno == ERANGE && std::isinf(value)) {
+        return Fail("number '" + token + "' out of double range");
+      }
+      *out = JsonValue::Double(value);
+    } else {
+      long long value = std::strtoll(token.c_str(), &parsed_end, 10);
+      if (errno == ERANGE) {
+        return Fail("integer '" + token + "' out of int64 range");
+      }
+      *out = JsonValue::Int(value);
+    }
+    if (parsed_end != token.c_str() + token.size()) {
+      return Fail("malformed number '" + token + "'");
+    }
+    pos = end;
+    return true;
+  }
+
+  // `depth` counts the arrays/objects enclosing this value.
+  bool ParseValue(JsonValue* out, int depth) {
     SkipSpace();
     if (pos >= text.size()) {
       return Fail("unexpected end of input");
     }
     char c = text[pos];
+    if ((c == '{' || c == '[') && depth >= kMaxDepth) {
+      return Fail("nesting deeper than " + std::to_string(kMaxDepth) + " levels");
+    }
     if (c == '{') {
       ++pos;
       *out = JsonValue::Object();
@@ -128,7 +218,7 @@ struct Parser {
           return false;
         }
         JsonValue value;
-        if (!ParseValue(&value)) {
+        if (!ParseValue(&value, depth + 1)) {
           return false;
         }
         out->Set(key, std::move(value));
@@ -150,7 +240,7 @@ struct Parser {
       }
       for (;;) {
         JsonValue value;
-        if (!ParseValue(&value)) {
+        if (!ParseValue(&value, depth + 1)) {
           return false;
         }
         out->Append(std::move(value));
@@ -185,31 +275,11 @@ struct Parser {
       *out = JsonValue::Null();
       return true;
     }
-    // Number: integer when it round-trips as int64 with no '.', 'e', 'E'.
-    size_t start = pos;
-    if (c == '-') ++pos;
-    bool is_double = false;
-    while (pos < text.size()) {
-      char d = text[pos];
-      if (std::isdigit(static_cast<unsigned char>(d))) {
-        ++pos;
-      } else if (d == '.' || d == 'e' || d == 'E' || d == '+' || d == '-') {
-        is_double = true;
-        ++pos;
-      } else {
-        break;
-      }
+    if (c == '-' || std::isdigit(static_cast<unsigned char>(c))) {
+      // Integer when there is no fraction or exponent.
+      return ParseNumber(out);
     }
-    if (pos == start) {
-      return Fail("unexpected character");
-    }
-    std::string token = text.substr(start, pos - start);
-    if (!is_double) {
-      *out = JsonValue::Int(std::strtoll(token.c_str(), nullptr, 10));
-    } else {
-      *out = JsonValue::Double(std::strtod(token.c_str(), nullptr));
-    }
-    return true;
+    return Fail(std::string("unexpected character '") + c + "'");
   }
 };
 
@@ -280,7 +350,7 @@ JsonValue JsonValue::Object() {
 JsonValue JsonValue::Parse(const std::string& text, std::string* error) {
   Parser parser{text};
   JsonValue value;
-  if (!parser.ParseValue(&value)) {
+  if (!parser.ParseValue(&value, 0)) {
     if (error != nullptr) {
       *error = parser.error;
     }

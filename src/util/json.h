@@ -27,7 +27,9 @@ class JsonValue {
   static JsonValue Array();
   static JsonValue Object();
 
-  // Parses `text`; returns a kNull value and sets *error on failure.
+  // Parses `text`; returns a kNull value and sets *error on failure. Numbers
+  // must follow the JSON grammar and fit int64 (no fraction or exponent) or
+  // a finite double; arrays and objects may nest at most 64 deep.
   static JsonValue Parse(const std::string& text, std::string* error);
 
   Type type() const { return type_; }

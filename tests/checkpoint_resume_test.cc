@@ -291,6 +291,24 @@ TEST(CheckpointTest, SaveAndLoadFileRoundTrip) {
   std::remove(path.c_str());
 }
 
+TEST(CheckpointTest, LoadRejectsDeeplyNestedFile) {
+  std::string path = TempPath("deeply_nested.json");
+  {
+    FILE* file = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(file, nullptr);
+    std::string text = "{\"version\": 4, \"rounds\": " + std::string(1'000'000, '[');
+    std::fwrite(text.data(), 1, text.size(), file);
+    std::fclose(file);
+  }
+  SearchCheckpoint loaded;
+  std::string error;
+  EXPECT_FALSE(LoadCheckpointFile(path, &loaded, &error));
+  EXPECT_NE(error.find("checkpoint parse error: nesting deeper than 64 levels"),
+            std::string::npos)
+      << error;
+  std::remove(path.c_str());
+}
+
 // --- kill-and-resume invariant --------------------------------------------------
 
 // Runs `case_id` uninterrupted, then again with the round budget cut short

@@ -2,6 +2,8 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdint>
+#include <limits>
 #include <future>
 #include <set>
 #include <stdexcept>
@@ -10,6 +12,7 @@
 
 #include "src/util/backoff.h"
 #include "src/util/check.h"
+#include "src/util/json.h"
 #include "src/util/rng.h"
 #include "src/util/stopwatch.h"
 #include "src/util/strings.h"
@@ -330,6 +333,82 @@ TEST(ExponentialBackoff, FastForwardRestoresJitterStreamPosition) {
   for (int i = 0; i < 4; ++i) {
     EXPECT_EQ(resumed.NextDelayMs(), original.NextDelayMs()) << "draw " << i;
   }
+}
+
+// --- json ----------------------------------------------------------------------
+
+// Parses `text` expecting a rejection; returns the error message.
+std::string JsonError(const std::string& text) {
+  std::string error;
+  JsonValue value = JsonValue::Parse(text, &error);
+  EXPECT_FALSE(error.empty()) << "accepted: " << text;
+  EXPECT_TRUE(value.is_null()) << text;
+  return error;
+}
+
+TEST(Json, RejectsMalformedNumbers) {
+  for (const char* text : {"-", "+", "1.2.3", "1-2", "{\"a\":-}", "[1,-]", "01", "1.",
+                           ".5", "1e", "1e+", "--1", "+1", "0x10", "1.5e3.2"}) {
+    std::string error = JsonError(text);
+    EXPECT_TRUE(error.find("malformed number") != std::string::npos ||
+                error.find("unexpected character") != std::string::npos)
+        << text << " -> " << error;
+  }
+  EXPECT_EQ(JsonError("1.2.3"), "malformed number '1.2.3' at offset 0");
+  EXPECT_EQ(JsonError("{\"a\":-}"), "malformed number '-' at offset 5");
+}
+
+TEST(Json, RejectsOutOfRangeNumbers) {
+  EXPECT_EQ(JsonError("99999999999999999999"),
+            "integer '99999999999999999999' out of int64 range at offset 0");
+  EXPECT_NE(JsonError("[-99999999999999999999]").find("out of int64 range"), std::string::npos);
+  EXPECT_NE(JsonError("1e999").find("out of double range"), std::string::npos);
+}
+
+TEST(Json, AcceptsNumberBoundaries) {
+  std::string error;
+  EXPECT_EQ(JsonValue::Parse("9223372036854775807", &error).as_int(),
+            std::numeric_limits<int64_t>::max());
+  EXPECT_EQ(error, "");
+  EXPECT_EQ(JsonValue::Parse("-9223372036854775808", &error).as_int(),
+            std::numeric_limits<int64_t>::min());
+  EXPECT_EQ(error, "");
+  EXPECT_EQ(JsonValue::Parse("-0.5e+3", &error).as_double(), -500.0);
+  EXPECT_EQ(error, "");
+  EXPECT_EQ(JsonValue::Parse("0", &error).as_int(), 0);
+  EXPECT_EQ(error, "");
+  // Underflow rounds toward zero rather than failing.
+  EXPECT_EQ(JsonValue::Parse("1e-400", &error).as_double(1.0), 0.0);
+  EXPECT_EQ(error, "");
+}
+
+TEST(Json, NumbersRoundTripThroughDump) {
+  std::string error;
+  JsonValue doc = JsonValue::Parse(
+      "{\"a\": [0, -7, 9223372036854775807, 0.25, -1.5e-7], \"b\": {\"c\": 3}}", &error);
+  ASSERT_EQ(error, "");
+  std::string dumped = doc.Dump();
+  JsonValue again = JsonValue::Parse(dumped, &error);
+  ASSERT_EQ(error, "");
+  EXPECT_EQ(again.Dump(), dumped);
+}
+
+TEST(Json, NestingIsCappedAt64Levels) {
+  std::string error;
+  std::string ok = std::string(64, '[') + std::string(64, ']');
+  JsonValue::Parse(ok, &error);
+  EXPECT_EQ(error, "");
+  EXPECT_EQ(JsonError(std::string(65, '[') + std::string(65, ']')),
+            "nesting deeper than 64 levels at offset 64");
+  EXPECT_NE(JsonError(std::string(33, '[') + "{\"k\":" + std::string(40, '[')).find("nesting"),
+            std::string::npos);
+}
+
+TEST(Json, DeepNestingIsRejectedWithoutExhaustingTheStack) {
+  // Two million levels used to recurse until the stack overflowed.
+  EXPECT_NE(JsonError(std::string(2'000'000, '[')).find("nesting deeper than 64 levels"),
+            std::string::npos);
+  EXPECT_NE(JsonError(std::string(2'000'000, '{')).find("expected '\"'"), std::string::npos);
 }
 
 }  // namespace
