@@ -184,7 +184,6 @@ std::string SerializeCheckpoint(const SearchCheckpoint& checkpoint) {
            JsonValue::Str(U64ToString(ChainSignatureHash(checkpoint.chain))));
 
   JsonValue engine = JsonValue::Object();
-  engine.Set("kind", JsonValue::Str(checkpoint.engine_kind));
   engine.Set("candidates", JsonValue::Int(checkpoint.engine_candidates));
   engine.Set("observables", JsonValue::Int(checkpoint.engine_observables));
   root.Set("engine", std::move(engine));
@@ -388,12 +387,6 @@ bool ParseCheckpoint(const std::string& text, SearchCheckpoint* out, std::string
   const JsonValue* engine = root.Find("engine");
   if (engine == nullptr || engine->type() != JsonValue::Type::kObject) {
     *error = "checkpoint has no engine object (required since version 4)";
-    return false;
-  }
-  out->engine_kind = engine->Find("kind") ? engine->Find("kind")->as_string() : std::string();
-  if (out->engine_kind != "incremental" && out->engine_kind != "full-rerank") {
-    *error = "checkpoint engine kind \"" + out->engine_kind +
-             "\" is not \"incremental\" or \"full-rerank\"";
     return false;
   }
   out->engine_candidates =

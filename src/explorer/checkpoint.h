@@ -7,7 +7,7 @@
 // The format is JSON with a version field:
 //
 //   {
-//     "version": 4,
+//     "version": 5,
 //     "program_fingerprint": "<hex>",   // guards against program drift
 //     "base_seed": "<u64 as string>",   // strings: no 2^53 precision loss
 //     "rounds_completed": N,
@@ -37,8 +37,7 @@
 //     },
 //     "chain_signature_hash": "<u64>",  // v3: FNV-1a over the chain steps;
 //                                       // detects a tampered/corrupt chain
-//     "engine": {                       // v4: stage-1 ranking engine record
-//       "kind": "incremental" | "full-rerank",   // ExplorerOptions::full_rerank
+//     "engine": {                       // v4: stage-1 candidate space
 //       "candidates": N,                // candidate-array size when written
 //       "observables": N                // observable count when written
 //     },
@@ -57,13 +56,14 @@
 // accepted prefix, the stitched-site seeds, and the live phase's candidate
 // summaries intact; plain (non-chain) searches write the same schema with an
 // empty chain. v4 added the engine block: the SoA candidate state of the
-// incremental priority engine (F_i, argmin k*, untried budgets, heap) is
-// *derivable* from (observable_priorities, tried), so the checkpoint stores
-// no engine arrays — restore recomputes them — but it does record which
-// stage-1 engine wrote the file and the candidate/observable counts it saw,
-// and resume validates all three against the live search: resuming under a
-// different ranking engine or over a differently-built candidate space would
-// break the byte-identical-resume invariant silently. Old versions —
+// priority engine (F_i, argmin k*, untried budgets, heap) is *derivable* from
+// (observable_priorities, tried), so the checkpoint stores no engine arrays —
+// restore recomputes them — but it records the candidate/observable counts
+// the engine ranked, and resume validates both against the live search:
+// resuming over a differently-built candidate space would break the
+// byte-identical-resume invariant silently. v5 dropped the engine block's
+// "kind" (v4 named which of two stage-1 rankers wrote the file; one ranker
+// remains). Old versions —
 // including a version-2 file that smuggles a chain block — are rejected with
 // an actionable error rather than silently resumed into a different search
 // space.
@@ -81,7 +81,7 @@
 
 namespace anduril::explorer {
 
-inline constexpr int kCheckpointVersion = 4;
+inline constexpr int kCheckpointVersion = 5;
 
 // One accepted step of a fault chain (v3). `seed` is the seed of the run
 // that validated the step: the stitch run for intermediate steps, the
@@ -146,10 +146,8 @@ struct SearchCheckpoint {
   // ParseCheckpoint stores the verified value here.
   ChainState chain;
   uint64_t chain_signature_hash = 0;
-  // v4: which stage-1 ranking engine wrote the file ("incremental" or
-  // "full-rerank") and the candidate space it ranked. Validation metadata,
+  // v4: the candidate space the stage-1 engine ranked. Validation metadata,
   // not bulk state — see the header comment.
-  std::string engine_kind = "incremental";
   int64_t engine_candidates = 0;
   int64_t engine_observables = 0;
   // Optional (still version 2): snapshot of the attached MetricsRegistry at

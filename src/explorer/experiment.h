@@ -113,13 +113,6 @@ struct ExplorerOptions {
   // *demoted* — re-ranked behind fresh candidates — rather than retired;
   // after this many demotions it is retired for good.
   int hang_demotions_before_retirement = 2;
-  // Run the full-feedback strategy's stage-1 ranking as a full per-round
-  // re-rank (recompute every F_i and sort the whole candidate array) instead
-  // of the incremental priority engine. The two are byte-identical on every
-  // scenario, seed, and thread count (asserted by priority_engine_test); the
-  // full re-rank is kept as the reference implementation and differential
-  // baseline.
-  bool full_rerank = false;
   // Observability sinks (src/obs/), not owned; null = disabled, and every
   // instrumentation hook reduces to a single pointer test. Both sinks are
   // deterministic under a fixed seed at any thread count: trace timestamps

@@ -288,16 +288,9 @@ ExploreResult Explorer::Explore(InjectionStrategy* strategy, const CheckpointCon
     ANDURIL_CHECK(snap.network_candidates == options_.network_candidates);
     ANDURIL_CHECK(snap.partition_heal_ms == spec_->cluster->partition_heal_ms);
     ANDURIL_CHECK(snap.network_delay_ms == spec_->cluster->network_delay_ms);
-    // v4: the stage-1 ranking engine and the candidate space it ranked. The
-    // incremental and full-rerank engines are proven byte-identical, but a
-    // mismatch still means the resuming process is configured differently
-    // from the writer — surface that instead of quietly relying on the
-    // equivalence; and a candidate/observable count drift means the context
-    // was built differently (the fingerprint only guards the program shape).
-    ANDURIL_CHECK(snap.engine_kind ==
-                  (options_.full_rerank ? std::string("full-rerank") : std::string("incremental")))
-        << "checkpoint was written by the " << snap.engine_kind
-        << " ranking engine but this search is configured for the other one";
+    // The candidate space the stage-1 engine ranked: a candidate/observable
+    // count drift means the context was built differently (the fingerprint
+    // only guards the program shape).
     ANDURIL_CHECK(snap.engine_candidates == static_cast<int64_t>(context_->candidates().size()))
         << "checkpoint ranked " << snap.engine_candidates << " candidates, this context has "
         << context_->candidates().size();
@@ -606,7 +599,6 @@ ExploreResult Explorer::Explore(InjectionStrategy* strategy, const CheckpointCon
       snap.network_candidates = options_.network_candidates;
       snap.partition_heal_ms = spec_->cluster->partition_heal_ms;
       snap.network_delay_ms = spec_->cluster->network_delay_ms;
-      snap.engine_kind = options_.full_rerank ? "full-rerank" : "incremental";
       snap.engine_candidates = static_cast<int64_t>(context_->candidates().size());
       snap.engine_observables = static_cast<int64_t>(context_->observables().size());
       snap.experiment = result.experiment;

@@ -1,6 +1,7 @@
 #include "src/explorer/priority_engine.h"
 
 #include <algorithm>
+#include <tuple>
 
 #include "src/util/check.h"
 #include "src/util/hash.h"
@@ -10,12 +11,14 @@ namespace anduril::explorer {
 PriorityEngine::PriorityEngine(EngineSpec spec) { BuildFromSpec(std::move(spec)); }
 
 PriorityEngine::PriorityEngine(const ExplorerContext& context,
-                               const std::unordered_set<ir::FaultSiteId>& stitched_sites) {
+                               const std::unordered_set<ir::FaultSiteId>& stitched_sites,
+                               Aggregation aggregation) {
   const auto& candidates = context.candidates();
   const size_t num_observables = context.observables().size();
 
   EngineSpec spec;
   spec.observables = num_observables;
+  spec.aggregation = aggregation;
   spec.rows.resize(candidates.size());
   spec.boosts.resize(candidates.size(), 0);
   spec.instance_counts.resize(candidates.size(), 0);
@@ -36,8 +39,8 @@ PriorityEngine::PriorityEngine(const ExplorerContext& context,
     const auto& instances = context.InstancesOf(candidate.site);
     // The untried budget leans on the runtime's dense occurrence numbering:
     // the n instances of a site in the fault-free trace carry occurrences
-    // exactly 1..n, so "occurrence in [1, n]" is the same predicate the
-    // reference path evaluates by scanning InstancesOf.
+    // exactly 1..n, so "occurrence in [1, n]" is the same predicate as "one
+    // of InstancesOf(site)".
     for (size_t j = 0; j < instances.size(); ++j) {
       ANDURIL_CHECK(instances[j].occurrence == static_cast<int64_t>(j) + 1)
           << "fault-free trace occurrences are not dense for site " << candidate.site;
@@ -54,6 +57,7 @@ PriorityEngine::PriorityEngine(const ExplorerContext& context,
 void PriorityEngine::BuildFromSpec(EngineSpec spec) {
   const size_t n = spec.rows.size();
   num_observables_ = spec.observables;
+  aggregation_ = spec.aggregation;
 
   row_begin_.assign(n + 1, 0);
   size_t nnz = 0;
@@ -127,17 +131,7 @@ void PriorityEngine::Reset(const std::vector<int64_t>& priorities) {
     if (finite_[i] == 0) {
       continue;
     }
-    int64_t best = kPriorityInfinity;
-    uint32_t best_k = 0;
-    for (uint32_t idx = row_begin_[i]; idx < row_begin_[i + 1]; ++idx) {
-      int64_t value = col_dist_[idx] + priorities_[col_obs_[idx]];
-      if (value < best) {
-        best = value;
-        best_k = col_obs_[idx];
-      }
-    }
-    f_[i] = best;
-    bestk_[i] = best_k;
+    std::tie(f_[i], bestk_[i]) = Aggregate(static_cast<uint32_t>(i));
     BucketInsert(static_cast<uint32_t>(i));
     if (untried_[i] > 0) {
       HeapPush(static_cast<uint32_t>(i));
@@ -163,7 +157,7 @@ void PriorityEngine::ApplyDeltas(const std::vector<std::pair<size_t, int64_t>>& 
     if (delta == 0) {
       continue;
     }
-    if (delta > 0) {
+    if (delta > 0 && aggregation_ == Aggregation::kMin) {
       // I_k got worse: only rows whose current minimum runs through k can
       // change (any other row's value at k stays >= its minimum).
       for (uint32_t candidate : bucket_[k]) {
@@ -173,7 +167,8 @@ void PriorityEngine::ApplyDeltas(const std::vector<std::pair<size_t, int64_t>>& 
         }
       }
     } else {
-      // I_k improved: any row with a finite entry at k may gain a new min.
+      // I_k improved, so any row with a finite entry at k may gain a new
+      // min; or the rows are sums, which every term of moves.
       for (uint32_t idx = obs_begin_[k]; idx < obs_begin_[k + 1]; ++idx) {
         uint32_t candidate = obs_rows_[idx];
         if (mark_[candidate] != epoch_) {
@@ -191,17 +186,24 @@ void PriorityEngine::ApplyDeltas(const std::vector<std::pair<size_t, int64_t>>& 
   }
 }
 
-void PriorityEngine::RecomputeRow(uint32_t candidate) {
+std::pair<int64_t, uint32_t> PriorityEngine::Aggregate(uint32_t candidate) const {
   int64_t best = kPriorityInfinity;
+  int64_t sum = 0;
   uint32_t best_k = 0;
   for (uint32_t idx = row_begin_[candidate]; idx < row_begin_[candidate + 1]; ++idx) {
     int64_t value = col_dist_[idx] + priorities_[col_obs_[idx]];
+    sum += value;
     if (value < best) {
       best = value;
       best_k = col_obs_[idx];
     }
   }
-  f_[candidate] = best;
+  return {aggregation_ == Aggregation::kSum ? sum : best, best_k};
+}
+
+void PriorityEngine::RecomputeRow(uint32_t candidate) {
+  auto [f, best_k] = Aggregate(candidate);
+  f_[candidate] = f;
   if (best_k != bestk_[candidate]) {
     BucketRemove(candidate);
     bestk_[candidate] = best_k;
@@ -251,8 +253,7 @@ void PriorityEngine::VisitActive(
 
 int PriorityEngine::RankOfSite(ir::FaultSiteId site) const {
   // Best (lowest stage-1 key) finite candidate of the site, over *all*
-  // finite candidates — tried ones keep their rank, exactly like the
-  // reference path's scan of its sorted order.
+  // finite candidates — tried ones keep their rank.
   const size_t n = f_.size();
   bool found = false;
   int64_t target_f = 0;

@@ -1,26 +1,29 @@
-// Incremental stage-1 priority engine for the full-feedback strategy.
+// Incremental stage-1 priority engine: the one site ranking every feedback
+// strategy (full, full-sum, full-order, multiply, site-feedback) runs on.
 //
-// The reference implementation (RankSites in strategies/full_feedback.cc,
-// kept behind ExplorerOptions::full_rerank) recomputes
+// Stage 1 ranks each candidate i by
 //
-//     F_i = min_k ( L_{i,k} + I_k )
+//     F_i = min_k ( L_{i,k} + I_k )        (Aggregation::kMin, §5.2)
+//     F_i = sum_k ( L_{i,k} + I_k )        (Aggregation::kSum, §5.2.4)
 //
-// for every candidate i over every observable k each round and then sorts
-// the whole candidate array — O(C·K + C log C) per round, which is fine at
-// the stock scenarios' 10²–10³ candidates and ruinous at the storm
-// scenarios' 10⁴–10⁵. This engine maintains the same quantities
-// incrementally in flat structure-of-arrays form:
+// over the observables k with a finite spatial distance L_{i,k}, and keeps
+// the argmin observable k*_i (stage 2's temporal reference) in both modes.
+// Recomputing that for every candidate and sorting each round is
+// O(C·K + C log C) — fine at the stock scenarios' 10²–10³ candidates and
+// ruinous at the storm scenarios' 10⁴–10⁵. This engine maintains the same
+// quantities incrementally in flat structure-of-arrays form:
 //
 //   - The finite entries of L are stored as a CSR matrix (row per candidate,
 //     ascending observable ids) plus a reverse CSR (column per observable),
 //     so "which candidates can observable k affect" is one contiguous scan.
 //   - F_i and its argmin k*_i are cached per candidate. When the feedback
 //     digest moves I_k by a delta, only the candidates that can change are
-//     recomputed (the dirty set): for a delta > 0 exactly the candidates
-//     whose current argmin is k (tracked in per-observable argmin buckets —
-//     any other candidate's min term did not move and its non-min term at k
-//     only got worse); for a delta < 0 every candidate with a finite L_{i,k}
-//     (the reverse-CSR column).
+//     recomputed (the dirty set). Under kMin: for a delta > 0 exactly the
+//     candidates whose current argmin is k (tracked in per-observable argmin
+//     buckets — any other candidate's min term did not move and its non-min
+//     term at k only got worse); for a delta < 0 every candidate with a
+//     finite L_{i,k} (the reverse-CSR column). Under kSum every term of the
+//     sum counts, so any delta dirties the whole column.
 //   - Candidates with untried instances sit in an indexed binary min-heap
 //     keyed by (F_i − stitch boost, candidate index), so assembling the
 //     priority window pops the top w entries instead of sorting C — the
@@ -29,8 +32,9 @@
 //     Arena that is rewound — not freed — every round.
 //
 // Tie-breaks are explicit ((F, candidate index) at stage 1; see
-// docs/priority_engine.md) and identical to the reference path's, which the
-// differential harness in tests/priority_engine_test.cc enforces.
+// docs/priority_engine.md). tests/priority_engine_test.cc re-ranks from
+// scratch after every round of real searches and compares against
+// RankAuditHash.
 
 #ifndef ANDURIL_SRC_EXPLORER_PRIORITY_ENGINE_H_
 #define ANDURIL_SRC_EXPLORER_PRIORITY_ENGINE_H_
@@ -58,14 +62,16 @@ inline constexpr int64_t kPriorityInfinity = std::numeric_limits<int64_t>::max()
 // effective priorities never get near overflow.
 inline constexpr int64_t kStitchBoost = 1'000'000'000;
 
-// The shared stage-1 ordering: ascending effective priority, ties broken by
+// The stage-1 ordering: ascending effective priority, ties broken by
 // candidate index (candidate enumeration order — causal-graph sources first,
-// then crash/stall, then network kinds). Both the incremental engine and the
-// full_rerank reference path order by exactly this predicate, so they cannot
-// legally disagree on ties.
+// then crash/stall, then network kinds). A total order, so no ranking can
+// depend on heap or sort internals.
 inline bool Stage1Less(int64_t f_a, size_t a, int64_t f_b, size_t b) {
   return f_a != f_b ? f_a < f_b : a < b;
 }
+
+// How a candidate's per-observable terms L_{i,k} + I_k combine into F_i.
+enum class Aggregation { kMin, kSum };
 
 // Synthetic candidate space for benches and fuzz tests (the context-backed
 // constructor below lowers the real analysis matrices into this form).
@@ -79,6 +85,7 @@ struct EngineSpec {
   // Untried-instance budget per candidate; a candidate leaves the heap when
   // it reaches zero.
   std::vector<int64_t> instance_counts;
+  Aggregation aggregation = Aggregation::kMin;
 };
 
 class PriorityEngine {
@@ -90,7 +97,8 @@ class PriorityEngine {
   // fault-free trace. The engine then indexes armed instances back to
   // candidate rows, so NoteTried() works on interp::InjectionCandidate.
   PriorityEngine(const ExplorerContext& context,
-                 const std::unordered_set<ir::FaultSiteId>& stitched_sites);
+                 const std::unordered_set<ir::FaultSiteId>& stitched_sites,
+                 Aggregation aggregation);
 
   // Installs `priorities` (one I_k per observable) and recomputes every
   // F_i from scratch; also restores every candidate's untried budget and
@@ -107,8 +115,8 @@ class PriorityEngine {
   // Marks one dynamic instance of `armed` tried. Call once per fresh
   // TriedSet insert only — the engine counts down the candidate's untried
   // budget and deactivates it at zero. Unknown (site, type, kind) triples
-  // and occurrences outside the fault-free trace are ignored, matching the
-  // reference path (such instances never appear in any window).
+  // and occurrences outside the fault-free trace are ignored (such instances
+  // never appear in any window).
   void NoteTried(const interp::InjectionCandidate& armed);
   void NoteTriedIndex(size_t candidate);
 
@@ -119,14 +127,14 @@ class PriorityEngine {
   // observable k*. Bounded top-k: visiting w candidates costs O(w log C).
   void VisitActive(const std::function<bool(size_t candidate, size_t best_observable)>& visit);
 
-  // 1-based rank of `site`'s best candidate among all finite candidates
-  // (tried or not), matching the reference path's RankOfSite semantics; -1
-  // when the site has no finite candidate.
+  // 1-based rank of `site`'s best candidate in the stage-1 order over all
+  // finite candidates, tried or not (Fig. 6 reporting); -1 when the site has
+  // no finite candidate.
   int RankOfSite(ir::FaultSiteId site) const;
 
   // Order-sensitive digest of the current ranking: every finite candidate's
-  // (index, effective F, k*) in index order. The differential harness
-  // compares per-round sequences of these between engines.
+  // (index, effective F, k*) in index order. priority_engine_test compares it
+  // against a from-scratch re-rank after every round.
   uint64_t RankAuditHash() const;
 
   size_t num_candidates() const { return f_.size(); }
@@ -142,8 +150,11 @@ class PriorityEngine {
 
  private:
   void BuildFromSpec(EngineSpec spec);
-  // Recomputes F_i / k*_i for one candidate from its CSR row and fixes its
-  // argmin bucket and heap position.
+  // F_i and k*_i of one candidate from its CSR row and the current
+  // priorities, under the engine's aggregation.
+  std::pair<int64_t, uint32_t> Aggregate(uint32_t candidate) const;
+  // Recomputes F_i / k*_i for one candidate and fixes its argmin bucket and
+  // heap position.
   void RecomputeRow(uint32_t candidate);
 
   void BucketInsert(uint32_t candidate);
@@ -161,6 +172,7 @@ class PriorityEngine {
   static constexpr uint32_t kNoPos = std::numeric_limits<uint32_t>::max();
 
   size_t num_observables_ = 0;
+  Aggregation aggregation_ = Aggregation::kMin;
 
   // CSR over the finite entries of L: row i spans
   // [row_begin_[i], row_begin_[i+1]) of col_obs_/col_dist_, ascending k.

@@ -29,15 +29,12 @@ class FeedbackState {
     }
   }
 
-  void Digest(const std::vector<std::string>& present_keys, int adjustment) {
-    Digest(present_keys, adjustment, nullptr);
-  }
-
-  // Like Digest, but also records each applied (observable, delta) move so
-  // the incremental priority engine can dirty exactly the I_k that changed.
-  // Keys absent from the observable set contribute nothing to either.
+  // Applies one round's present keys; with `deltas`, also records each
+  // applied (observable, delta) move so the priority engine can dirty exactly
+  // the I_k that changed. Keys absent from the observable set contribute
+  // nothing to either.
   void Digest(const std::vector<std::string>& present_keys, int adjustment,
-              std::vector<std::pair<size_t, int64_t>>* deltas) {
+              std::vector<std::pair<size_t, int64_t>>* deltas = nullptr) {
     for (const std::string& key : present_keys) {
       auto it = key_index_.find(key);
       if (it != key_index_.end()) {

@@ -96,12 +96,11 @@ class InjectionStrategy {
   // or -1 if unranked. Used only for Fig. 6 reporting.
   virtual int RankOfSite(ir::FaultSiteId /*site*/) const { return -1; }
 
-  // Differential-test hook: when a sink is attached, feedback strategies
-  // append one order-sensitive digest of the full (F_i, k*_i) ranking per
-  // NextWindow call. priority_engine_test compares the per-round sequences
-  // between the incremental engine and the full_rerank reference and reports
-  // the first diverging round. Strategies without a ranking ignore it; a
-  // null/absent sink costs nothing.
+  // Test hook: when a sink is attached, feedback strategies append one
+  // order-sensitive digest of the full (F_i, k*_i) ranking per NextWindow
+  // call. priority_engine_test compares each against a from-scratch re-rank
+  // and reports the first diverging round. Strategies without a ranking
+  // ignore it; a null/absent sink costs nothing.
   virtual void SetRankAuditSink(std::vector<uint64_t>* /*sink*/) {}
 
   // Checkpoint support. SaveState snapshots the strategy's mutable search

@@ -1,6 +1,8 @@
 #include "src/service/daemon.h"
 
+#include <pthread.h>
 #include <signal.h>
+#include <sys/prctl.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -234,6 +236,9 @@ class Daemon {
   // ---- Sharded mode --------------------------------------------------------
 
   void RunSharded() {
+    if (manifest_.AllTerminal()) {
+      return;  // a rerun over a finished queue has nothing to dispatch
+    }
     slots_.resize(options_.workers);
     backoffs_.reserve(options_.workers);
     for (int i = 0; i < options_.workers; ++i) {
@@ -278,13 +283,40 @@ class Daemon {
   void Spawn(WorkerSlot& slot) {
     // The worker gets the daemon's pid on its command line: deriving it via
     // getppid() after exec races this daemon dying first (see worker.h).
-    const std::string daemon_pid = std::to_string(getpid());
+    const pid_t daemon = getpid();
+    const std::string daemon_pid = std::to_string(daemon);
+    // Until execl, the child runs this process's drain handler, which would
+    // swallow a SIGTERM meant to stop the worker. Keep SIGTERM/SIGINT
+    // blocked across fork; the child restores the default action before
+    // unblocking, so a stop signal sent in that window stays pending and
+    // then terminates it.
+    sigset_t stop_signals;
+    sigset_t saved_mask;
+    sigemptyset(&stop_signals);
+    sigaddset(&stop_signals, SIGTERM);
+    sigaddset(&stop_signals, SIGINT);
+    pthread_sigmask(SIG_BLOCK, &stop_signals, &saved_mask);
     const pid_t pid = fork();
+    if (pid != 0) {
+      pthread_sigmask(SIG_SETMASK, &saved_mask, nullptr);
+    }
     if (pid < 0) {
       Fail("fork failed for worker " + std::to_string(slot.index));
       return;
     }
     if (pid == 0) {
+      // A worker dies with its daemon. An orphan still mid-slice would keep
+      // writing the case's checkpoint while a successor daemon's worker runs
+      // the same case; both write through one "<path>.tmp", so one rename
+      // fails and that worker aborts. Killed instead, the orphan leaves the
+      // checkpoint as any SIGKILL would, which resume is built for.
+      prctl(PR_SET_PDEATHSIG, SIGKILL);
+      if (getppid() != daemon) {
+        _exit(0);  // the daemon died before prctl took effect
+      }
+      signal(SIGTERM, SIG_DFL);
+      signal(SIGINT, SIG_DFL);
+      pthread_sigmask(SIG_SETMASK, &saved_mask, nullptr);
       execl(options_.serve_binary.c_str(), options_.serve_binary.c_str(), "worker",
             slot.dir.c_str(), daemon_pid.c_str(), static_cast<char*>(nullptr));
       std::fprintf(stderr, "worker %d: cannot exec %s\n", slot.index,
@@ -428,6 +460,21 @@ class Daemon {
   void Drain() {
     Log("draining: %zu cases pending, waiting for in-flight slices\n",
         static_cast<size_t>(manifest_.CountState(CaseState::kPending)));
+    StopWorkers(/*collect=*/true);
+    Journal();
+    report_.interrupted = true;
+  }
+
+  // The queue is terminal: stop the (idle) workers and journal.
+  void Shutdown() {
+    StopWorkers(/*collect=*/false);
+    Journal();
+  }
+
+  // SIGTERMs every live worker and reaps them until a deadline — applying
+  // the results of slices they finish meanwhile when `collect` — then
+  // SIGKILLs and reaps whatever is left, so no stop ever waits unbounded.
+  void StopWorkers(bool collect) {
     for (WorkerSlot& slot : slots_) {
       if (slot.pid > 0) {
         kill(slot.pid, SIGTERM);
@@ -442,10 +489,14 @@ class Daemon {
         if (slot.pid <= 0) {
           continue;
         }
-        Collect(slot);
+        if (collect) {
+          Collect(slot);
+        }
         int status = 0;
         if (waitpid(slot.pid, &status, WNOHANG) == slot.pid) {
-          Collect(slot);  // result written between the poll and the exit
+          if (collect) {
+            Collect(slot);  // result written between the poll and the exit
+          }
           slot.pid = -1;
           slot.case_index = -1;
         } else {
@@ -465,24 +516,6 @@ class Daemon {
         slot.pid = -1;
       }
     }
-    Journal();
-    report_.interrupted = true;
-  }
-
-  void Shutdown() {
-    for (WorkerSlot& slot : slots_) {
-      if (slot.pid > 0) {
-        kill(slot.pid, SIGTERM);
-      }
-    }
-    for (WorkerSlot& slot : slots_) {
-      if (slot.pid > 0) {
-        int status = 0;
-        waitpid(slot.pid, &status, 0);
-        slot.pid = -1;
-      }
-    }
-    Journal();
   }
 
   void MergeMetrics() {

@@ -378,7 +378,10 @@ int64_t JsonValue::as_int(int64_t fallback) const {
     return int_;
   }
   if (type_ == Type::kDouble) {
-    return static_cast<int64_t>(double_);
+    // Casting a double outside [-2^63, 2^63) (or NaN) is undefined.
+    constexpr double kTwoTo63 = 9223372036854775808.0;
+    return double_ >= -kTwoTo63 && double_ < kTwoTo63 ? static_cast<int64_t>(double_)
+                                                      : fallback;
   }
   return fallback;
 }
@@ -443,6 +446,10 @@ void JsonValue::DumpTo(std::string* out, int depth) const {
       *out += std::to_string(int_);
       return;
     case Type::kDouble: {
+      if (!std::isfinite(double_)) {
+        *out += "null";  // JSON has no NaN or infinity
+        return;
+      }
       char buf[32];
       std::snprintf(buf, sizeof(buf), "%.17g", double_);
       *out += buf;

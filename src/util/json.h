@@ -36,6 +36,8 @@ class JsonValue {
   bool is_null() const { return type_ == Type::kNull; }
 
   bool as_bool(bool fallback = false) const;
+  // A double is truncated toward zero; one outside int64 range yields
+  // `fallback`.
   int64_t as_int(int64_t fallback = 0) const;
   double as_double(double fallback = 0.0) const;
   const std::string& as_string() const;
@@ -51,6 +53,7 @@ class JsonValue {
   const std::vector<std::pair<std::string, JsonValue>>& members() const { return members_; }
 
   // Serializes with 2-space indentation and a trailing newline at top level.
+  // Non-finite doubles, which JSON cannot spell, are written as null.
   std::string Dump() const;
 
  private:

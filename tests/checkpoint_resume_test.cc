@@ -72,8 +72,7 @@ TEST(CheckpointTest, SerializeParseRoundTripIsLossless) {
   snap.chain.stitched_sites = {7, 11};
   snap.chain.round_candidates.push_back(ChainRoundCandidate{
       interp::InjectionCandidate{9, 3, ir::kInvalidId, interp::FaultKind::kDelay}, 4, 17});
-  // v4 engine block: identity of the ranking path plus candidate-space shape.
-  snap.engine_kind = "full-rerank";
+  // Engine block: the candidate-space shape the ranking engine saw.
   snap.engine_candidates = 100000;
   snap.engine_observables = 40;
 
@@ -110,7 +109,6 @@ TEST(CheckpointTest, SerializeParseRoundTripIsLossless) {
   EXPECT_EQ(parsed.strategy.demotions[0].count, snap.strategy.demotions[0].count);
   EXPECT_EQ(parsed.chain, snap.chain);
   EXPECT_EQ(parsed.chain_signature_hash, ChainSignatureHash(snap.chain));
-  EXPECT_EQ(parsed.engine_kind, snap.engine_kind);
   EXPECT_EQ(parsed.engine_candidates, snap.engine_candidates);
   EXPECT_EQ(parsed.engine_observables, snap.engine_observables);
 
@@ -148,15 +146,15 @@ TEST(CheckpointTest, RejectsVersion1FileWithActionableError) {
   std::string error;
   EXPECT_FALSE(ParseCheckpoint(v1_text, &out, &error));
   EXPECT_NE(error.find("version 1"), std::string::npos) << error;
-  EXPECT_NE(error.find("version 4"), std::string::npos) << error;
+  EXPECT_NE(error.find("version 5"), std::string::npos) << error;
   EXPECT_NE(error.find("delete"), std::string::npos)
       << "error must be actionable: " << error;
 }
 
 TEST(CheckpointTest, RejectsVersion3FileWithActionableError) {
   // A pre-engine checkpoint (schema v3: chain block but no engine block).
-  // Resuming it would skip the engine-vs-options compatibility validation, so
-  // it must be refused with an error naming both versions.
+  // Resuming it would skip the candidate-space validation, so it must be
+  // refused with an error naming both versions.
   const char* v3_text = R"({
     "version": 3,
     "program_fingerprint": "12345",
@@ -175,14 +173,42 @@ TEST(CheckpointTest, RejectsVersion3FileWithActionableError) {
   std::string error;
   EXPECT_FALSE(ParseCheckpoint(v3_text, &out, &error));
   EXPECT_NE(error.find("version 3"), std::string::npos) << error;
-  EXPECT_NE(error.find("version 4"), std::string::npos) << error;
+  EXPECT_NE(error.find("version 5"), std::string::npos) << error;
   EXPECT_NE(error.find("delete"), std::string::npos)
       << "error must be actionable: " << error;
 }
 
-TEST(CheckpointTest, RejectsVersion4FileWithoutEngineBlock) {
-  // A v4 file with the engine object stripped: refuse rather than guessing a
-  // ranking path at resume.
+TEST(CheckpointTest, RejectsVersion4FileWithActionableError) {
+  // A schema-v4 checkpoint, whose engine block still names the stage-1
+  // ranker ("kind"). It must be refused with an error naming both versions,
+  // not resumed with the field silently ignored.
+  const char* v4_text = R"({
+    "version": 4,
+    "program_fingerprint": "12345",
+    "base_seed": "1",
+    "rounds_completed": 7,
+    "retry_rng_draws": "0",
+    "experiment": {"completed_rounds": 7},
+    "network": {"candidates": false, "partition_heal_ms": 0, "delay_ms": 0},
+    "pinned": [],
+    "strategy": {"window_size": 10, "exhausted": false,
+                 "observable_priorities": [], "tried": [], "demotions": []},
+    "chain": {"steps": [], "phase": 0, "rounds_before_phase": 0,
+              "stitched_sites": [], "round_candidates": []},
+    "engine": {"kind": "incremental", "candidates": 0, "observables": 0}
+  })";
+  SearchCheckpoint out;
+  std::string error;
+  EXPECT_FALSE(ParseCheckpoint(v4_text, &out, &error));
+  EXPECT_NE(error.find("version 4"), std::string::npos) << error;
+  EXPECT_NE(error.find("version 5"), std::string::npos) << error;
+  EXPECT_NE(error.find("delete"), std::string::npos)
+      << "error must be actionable: " << error;
+}
+
+TEST(CheckpointTest, RejectsFileWithoutEngineBlock) {
+  // A current-version file with the engine object stripped: refuse rather
+  // than resume without the candidate-space check.
   SearchCheckpoint snap;
   std::string text = SerializeCheckpoint(snap);
   const std::string key = "\"engine\": {";
@@ -199,18 +225,6 @@ TEST(CheckpointTest, RejectsVersion4FileWithoutEngineBlock) {
   std::string error;
   EXPECT_FALSE(ParseCheckpoint(text, &out, &error));
   EXPECT_NE(error.find("no engine object"), std::string::npos) << error;
-}
-
-TEST(CheckpointTest, RejectsUnknownEngineKind) {
-  SearchCheckpoint snap;
-  std::string text = SerializeCheckpoint(snap);
-  size_t pos = text.find("\"incremental\"");
-  ASSERT_NE(pos, std::string::npos);
-  text.replace(pos, 13, "\"telepathic\"");
-  SearchCheckpoint out;
-  std::string error;
-  EXPECT_FALSE(ParseCheckpoint(text, &out, &error));
-  EXPECT_NE(error.find("telepathic"), std::string::npos) << error;
 }
 
 TEST(CheckpointTest, RejectsVersion2FileWithChainStateWithActionableError) {

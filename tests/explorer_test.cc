@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <memory>
+
 #include "src/explorer/explorer.h"
 #include "src/explorer/strategies/strategy_util.h"
 #include "src/interp/log_entry.h"
@@ -291,6 +294,25 @@ TEST_F(ExplorerTest, FeedbackStateDeprioritizesPresentObservables) {
   }
   feedback.Digest(present, /*adjustment=*/5);
   EXPECT_EQ(feedback.priority(0), 6);
+}
+
+TEST_F(ExplorerTest, WindowDoublingSaturatesInsteadOfOverflowing) {
+  // 40 injection-free rounds double a window of 10 past 2^31; it used to
+  // overflow int (undefined; in practice it wrapped to an empty window).
+  Build();
+  ExplorerOptions options;
+  ExplorerContext context(spec_, options);
+  std::unique_ptr<InjectionStrategy> strategy = MakeFullFeedbackStrategy();
+  strategy->Initialize(context);
+  for (int round = 1; round <= 40; ++round) {
+    strategy->NextWindow();
+    RoundOutcome outcome;
+    outcome.round = round;
+    strategy->OnRound(outcome);
+  }
+  StrategyCheckpoint state;
+  ASSERT_TRUE(strategy->SaveState(&state));
+  EXPECT_EQ(state.window_size, std::numeric_limits<int>::max());
 }
 
 TEST_F(ExplorerTest, TemporalDistanceMinOverPositions) {

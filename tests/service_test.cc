@@ -15,6 +15,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <string>
@@ -503,10 +504,16 @@ TEST(ServiceTest, WorkerKilledMidRoundConvergesToBaseline) {
             ReadFileOrDie(MergedMetricsPath(dir)));
 }
 
+// RunServeCli's result when the child outlived its deadline.
+constexpr int kDeadlineExceeded = -2000;
+
 // Spawns `anduril_serve run <dir> <flags...>` and returns its exit code
 // (negative signal number if it died to a signal). When `kill_after_ms` is
-// positive the child gets SIGKILL after that delay.
-int RunServeCli(const std::vector<std::string>& args, int kill_after_ms = 0) {
+// positive the child gets SIGKILL after that delay. When `deadline_ms` is
+// positive a child still running at the deadline is SIGKILLed and the
+// result is kDeadlineExceeded.
+int RunServeCli(const std::vector<std::string>& args, int kill_after_ms = 0,
+                int deadline_ms = 0) {
   std::vector<std::string> argv_storage = {ANDURIL_SERVE_BIN};
   argv_storage.insert(argv_storage.end(), args.begin(), args.end());
   std::vector<char*> argv;
@@ -529,7 +536,20 @@ int RunServeCli(const std::vector<std::string>& args, int kill_after_ms = 0) {
     kill(pid, SIGKILL);
   }
   int status = 0;
-  waitpid(pid, &status, 0);
+  if (deadline_ms > 0) {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::milliseconds(deadline_ms);
+    while (waitpid(pid, &status, WNOHANG) != pid) {
+      if (std::chrono::steady_clock::now() >= deadline) {
+        kill(pid, SIGKILL);
+        waitpid(pid, &status, 0);
+        return kDeadlineExceeded;
+      }
+      usleep(1000);
+    }
+  } else {
+    waitpid(pid, &status, 0);
+  }
   if (WIFEXITED(status)) {
     return WEXITSTATUS(status);
   }
@@ -599,6 +619,20 @@ TEST(ServiceCrashTest, DaemonSigkilledResumesByteIdentically) {
   EXPECT_EQ(Outcomes(baseline_manifest), Outcomes(resumed_manifest));
   EXPECT_EQ(ReadFileOrDie(MergedMetricsPath(baseline_dir)),
             ReadFileOrDie(MergedMetricsPath(dir)));
+}
+
+TEST(ServiceCrashTest, RerunOnFinishedQueueExitsPromptly) {
+  // Rerunning the command over a queue that already finished must exit 0 at
+  // once. It used to spawn workers and SIGTERM them straight away; a worker
+  // still between fork and exec swallowed the signal in the daemon's drain
+  // handler, and the daemon then waited for it forever.
+  const std::string dir = FreshStateDir("service_rerun_finished");
+  const std::vector<std::string> args = {"run", dir, "--cases=zk-2247,ca-6415",
+                                         "--workers=2", "--quiet"};
+  ASSERT_EQ(RunServeCli(args, 0, /*deadline_ms=*/120000), 0);
+  for (int attempt = 1; attempt <= 20; ++attempt) {
+    ASSERT_EQ(RunServeCli(args, 0, /*deadline_ms=*/10000), 0) << "rerun " << attempt;
+  }
 }
 
 }  // namespace

@@ -393,6 +393,37 @@ TEST(Json, NumbersRoundTripThroughDump) {
   EXPECT_EQ(again.Dump(), dumped);
 }
 
+TEST(Json, NonFiniteDoublesDumpAsNullAndParseBack) {
+  JsonValue doc = JsonValue::Object();
+  doc.Set("nan", JsonValue::Double(std::numeric_limits<double>::quiet_NaN()));
+  doc.Set("inf", JsonValue::Double(std::numeric_limits<double>::infinity()));
+  doc.Set("minus_inf", JsonValue::Double(-std::numeric_limits<double>::infinity()));
+  std::string dumped = doc.Dump();
+  std::string error;
+  JsonValue again = JsonValue::Parse(dumped, &error);
+  ASSERT_EQ(error, "") << dumped;
+  for (const char* key : {"nan", "inf", "minus_inf"}) {
+    ASSERT_NE(again.Find(key), nullptr) << key;
+    EXPECT_TRUE(again.Find(key)->is_null()) << key;
+  }
+  EXPECT_EQ(again.Dump(), dumped);
+}
+
+TEST(Json, AsIntOfOutOfRangeDoubleReturnsFallback) {
+  std::string error;
+  JsonValue doc = JsonValue::Parse(
+      "{\"big\": 1e300, \"small\": -1e300, \"edge\": 9223372036854775808.0, "
+      "\"low\": -9223372036854775808.0, \"fits\": -2.75e3}",
+      &error);
+  ASSERT_EQ(error, "");
+  EXPECT_EQ(doc.Find("big")->as_int(-1), -1);
+  EXPECT_EQ(doc.Find("small")->as_int(-1), -1);
+  EXPECT_EQ(doc.Find("edge")->as_int(-1), -1);
+  EXPECT_EQ(doc.Find("low")->as_int(-1), std::numeric_limits<int64_t>::min());
+  EXPECT_EQ(doc.Find("fits")->as_int(-1), -2750);
+  EXPECT_EQ(JsonValue::Double(std::numeric_limits<double>::quiet_NaN()).as_int(7), 7);
+}
+
 TEST(Json, NestingIsCappedAt64Levels) {
   std::string error;
   std::string ok = std::string(64, '[') + std::string(64, ']');
