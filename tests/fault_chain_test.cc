@@ -25,7 +25,10 @@
 #include "src/explorer/signature.h"
 #include "src/interp/log_entry.h"
 #include "src/interp/simulator.h"
+#include "src/obs/metrics.h"
+#include "src/obs/trace.h"
 #include "src/systems/common.h"
+#include "tests/golden_digests.h"
 #include "tests/test_util.h"
 
 namespace anduril::explorer {
@@ -206,6 +209,93 @@ TEST(FaultChainTest, MidChainKillResumeIsByteIdentical) {
   // Same mid-chain kill, parallel engine.
   ExpectChainResumeMatchesUninterrupted("casc-retry-1", 8,
                                         phase1_rounds + final_rounds - 1, baseline);
+}
+
+// --- golden multi-fault digests ---------------------------------------------------
+//
+// tests/golden/multifault_digests.txt pins every multi-fault search this
+// file runs: the cascade chain searches (result fields plus the metrics and
+// trace dumps) at 1 and 8 threads, a search killed by max_total_rounds and
+// resumed, and the independent policy capping out on each cascade (result
+// fields only, without per-step rounds). The host watchdog is off so a slow
+// build cannot add a retry round.
+
+struct TracedChain {
+  ChainResult result;
+  uint64_t digest = 0;
+};
+
+TracedChain TracedChainSearch(const systems::FailureCase& failure_case, int threads,
+                              int max_total_rounds, const CheckpointConfig& checkpoint) {
+  systems::BuiltCase built = systems::BuildCase(failure_case, /*verify=*/false);
+  built.cluster.wall_budget_ms = 0;
+  obs::Tracer tracer;
+  obs::MetricsRegistry metrics;
+  ExplorerOptions options = OptionsForCase(failure_case, threads);
+  options.max_rounds = kPhaseRounds;
+  options.max_total_rounds = max_total_rounds;
+  options.tracer = &tracer;
+  options.metrics = &metrics;
+  TracedChain traced;
+  traced.result = RunChain(built, options, 3, checkpoint);
+  traced.digest = MultiFaultDigest(traced.result, /*with_step_rounds=*/true,
+                                   metrics.DumpJson() + tracer.DumpJsonl());
+  return traced;
+}
+
+ChainResult IndependentSearch(const systems::FailureCase& failure_case) {
+  systems::BuiltCase built = systems::BuildCase(failure_case, /*verify=*/false);
+  built.cluster.wall_budget_ms = 0;
+  ExplorerOptions options = OptionsForCase(failure_case, 1);
+  options.max_rounds = kDoomedRounds;
+  IterativeExplorer iterative(built.spec, options);
+  IterativeResult independent = iterative.Explore(/*max_faults=*/3);
+  ChainResult result;
+  result.reproduced = independent.reproduced;
+  result.phases = independent.phases;
+  result.total_rounds = independent.total_rounds;
+  for (const ReproductionScript& fault : independent.faults) {
+    result.chain.steps.push_back(FaultChainStep{
+        interp::InjectionCandidate{fault.site, fault.occurrence, fault.type, fault.kind},
+        fault.seed, 0, {}});
+  }
+  return result;
+}
+
+TEST(MultiFaultGoldenTest, SearchesMatchGoldenDigests) {
+  std::vector<std::pair<std::string, uint64_t>> lines;
+  for (const systems::FailureCase& failure_case : systems::CascadeCases()) {
+    for (int threads : {1, 8}) {
+      lines.emplace_back("cascade " + failure_case.id + " t" + std::to_string(threads),
+                         TracedChainSearch(failure_case, threads, 0, {}).digest);
+    }
+    lines.emplace_back("independent " + failure_case.id,
+                       MultiFaultDigest(IndependentSearch(failure_case),
+                                        /*with_step_rounds=*/false));
+  }
+
+  // Killed by the round budget one round into phase 2, then resumed from the
+  // checkpoint file in a fresh search with fresh sinks.
+  const systems::FailureCase* failure_case = systems::FindCase("casc-retry-1");
+  ASSERT_NE(failure_case, nullptr);
+  const std::string path = TempPath("multifault_golden_resume.json");
+  std::remove(path.c_str());
+  const int kill_after =
+      TracedChainSearch(*failure_case, 1, 0, {}).result.chain.steps.front().rounds + 1;
+  TracedChain killed = TracedChainSearch(*failure_case, 1, kill_after, {path, nullptr});
+  ASSERT_FALSE(killed.result.reproduced);
+  SearchCheckpoint snap;
+  std::string error;
+  ASSERT_TRUE(LoadCheckpointFile(path, &snap, &error)) << error;
+  TracedChain resumed = TracedChainSearch(*failure_case, 1, 0, {"", &snap});
+  EXPECT_TRUE(resumed.result.reproduced);
+  lines.emplace_back("cascade-killed casc-retry-1 r" + std::to_string(kill_after),
+                     killed.digest);
+  lines.emplace_back("cascade-resumed casc-retry-1 r" + std::to_string(kill_after),
+                     resumed.digest);
+  std::remove(path.c_str());
+
+  CheckGoldenDigests(kMultiFaultGolden, "fault_chain_test", lines, kMultiFaultHeader);
 }
 
 // --- fault signatures -----------------------------------------------------------

@@ -8,6 +8,7 @@
 #include "src/interp/log_entry.h"
 #include "src/interp/simulator.h"
 #include "src/ir/builder.h"
+#include "tests/golden_digests.h"
 
 namespace anduril::explorer {
 namespace {
@@ -173,6 +174,35 @@ TEST_F(MultiFaultTest, ReplayRejectsEmptyResult) {
   Build();
   IterativeResult empty;
   EXPECT_FALSE(IterativeExplorer::Replay(spec_, empty));
+}
+
+// Pins both pair searches above in tests/golden/multifault_digests.txt
+// (result fields only, without per-step rounds).
+TEST_F(MultiFaultTest, IterativeSearchesMatchGoldenDigests) {
+  Build();
+  std::vector<std::pair<std::string, uint64_t>> lines;
+  for (auto [max_faults, max_rounds] : {std::pair{2, 100}, std::pair{1, 60}}) {
+    ExplorerOptions options;
+    options.max_rounds = max_rounds;
+    IterativeExplorer iterative(spec_, options);
+    IterativeResult independent = iterative.Explore(max_faults);
+    ChainResult result;
+    result.reproduced = independent.reproduced;
+    result.phases = independent.phases;
+    result.total_rounds = independent.total_rounds;
+    for (const ReproductionScript& fault : independent.faults) {
+      result.chain.steps.push_back(FaultChainStep{
+          interp::InjectionCandidate{fault.site, fault.occurrence, fault.type, fault.kind},
+          fault.seed, 0, {}});
+    }
+    lines.emplace_back("independent pair f" + std::to_string(max_faults),
+                       MultiFaultDigest(result, /*with_step_rounds=*/false));
+  }
+  CheckGoldenDigests("multifault_digests.txt", "iterative_test", lines,
+                     "# Multi-fault search digests (FNV-1a over reproduced, phases, total rounds,\n"
+                     "# demoted chain candidates and each step's candidate, seed, rounds and stitched\n"
+                     "# observables; cascade lines add the metrics and trace dumps). One line per\n"
+                     "# <owner test> <search> <digest>; refresh with scripts/update_trace_golden.sh.\n");
 }
 
 // --- combined runs per round ------------------------------------------------------------
