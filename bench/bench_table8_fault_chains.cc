@@ -64,8 +64,9 @@ ChainMeasurement Measure(const systems::FailureCase& failure_case) {
   }
   // Doomed search 2: independent multi-fault (shared analysis cache), capped.
   {
-    explorer::IterativeExplorer iterative(built.spec, options);
-    explorer::IterativeResult independent = iterative.Explore(/*max_faults=*/3);
+    explorer::ChainExplorer iterative(built.spec, options,
+                                      explorer::ChainExplorer::Policy::kIndependent);
+    explorer::ChainResult independent = iterative.Explore(/*max_chain_length=*/3);
     ANDURIL_CHECK(!independent.reproduced)
         << failure_case.id << " reproduced by independent faults: not chain-only";
     m.iterative_rounds = independent.total_rounds;

@@ -3,7 +3,7 @@
 // ANDURIL injects one fault per run, so a failure requiring two causally
 // independent faults is out of reach for a single search. The paper's
 // workflow — fix the most promising fault into the workload, re-run ANDURIL —
-// is automated by IterativeExplorer. This example builds a replicated queue
+// is automated by ChainExplorer's independent policy. This example builds a replicated queue
 // whose data-loss symptom needs BOTH a primary disk fault AND a backup
 // network fault (either alone is tolerated), and reproduces it in two phases.
 
@@ -135,18 +135,16 @@ int main() {
   }
 
   // The iterative mode pins the closest fault and searches again.
-  explorer::IterativeExplorer iterative(spec, options);
-  explorer::IterativeResult result = iterative.Explore(/*max_faults=*/2);
+  explorer::ChainExplorer iterative(spec, options,
+                                    explorer::ChainExplorer::Policy::kIndependent);
+  explorer::ChainResult result = iterative.Explore(/*max_chain_length=*/2);
   if (!result.reproduced) {
     std::printf("iterative search failed\n");
     return 1;
   }
-  std::printf("\niterative search reproduced the failure in %d phases, %d total rounds:\n",
-              result.phases, result.total_rounds);
-  for (size_t i = 0; i < result.faults.size(); ++i) {
-    std::printf("  fault %zu: %s\n", i + 1, result.faults[i].ToText(program).c_str());
-  }
-  std::printf("multi-fault replay: %s\n",
-              explorer::IterativeExplorer::Replay(spec, result) ? "deterministic" : "FLAKY");
-  return 0;
+  std::printf("\niterative search reproduced the failure in %d phases, %d total rounds:\n%s",
+              result.phases, result.total_rounds, result.chain.ToText(program).c_str());
+  const bool deterministic = explorer::ChainExplorer::Replay(spec, result);
+  std::printf("multi-fault replay: %s\n", deterministic ? "deterministic" : "FLAKY");
+  return deterministic ? 0 : 1;
 }

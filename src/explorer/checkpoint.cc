@@ -61,7 +61,7 @@ bool CandidateFromJson(const JsonValue& value, interp::InjectionCandidate* out,
 
 uint64_t ChainSignatureHash(const ChainState& chain) {
   Fnv1aHasher hasher;
-  for (const ChainStepCheckpoint& step : chain.steps) {
+  for (const FaultChainStep& step : chain.steps) {
     hasher.MixInt(step.candidate.site);
     hasher.MixInt(step.candidate.occurrence);
     hasher.MixInt(step.candidate.type);
@@ -148,7 +148,7 @@ std::string SerializeCheckpoint(const SearchCheckpoint& checkpoint) {
 
   JsonValue chain = JsonValue::Object();
   JsonValue steps = JsonValue::Array();
-  for (const ChainStepCheckpoint& step : checkpoint.chain.steps) {
+  for (const FaultChainStep& step : checkpoint.chain.steps) {
     JsonValue entry = JsonValue::Object();
     entry.Set("candidate", CandidateToJson(step.candidate));
     entry.Set("seed", JsonValue::Str(U64ToString(step.seed)));
@@ -327,7 +327,7 @@ bool ParseCheckpoint(const std::string& text, SearchCheckpoint* out, std::string
   }
   if (const JsonValue* steps = chain->Find("steps"); steps != nullptr) {
     for (const JsonValue& entry : steps->items()) {
-      ChainStepCheckpoint step;
+      FaultChainStep step;
       const JsonValue* candidate = entry.Find("candidate");
       if (candidate == nullptr || !CandidateFromJson(*candidate, &step.candidate, error)) {
         if (error->empty()) {

@@ -83,15 +83,19 @@ namespace anduril::explorer {
 
 inline constexpr int kCheckpointVersion = 5;
 
-// One accepted step of a fault chain (v3). `seed` is the seed of the run
-// that validated the step: the stitch run for intermediate steps, the
-// successful search round for the final one.
-struct ChainStepCheckpoint {
+// One accepted step of a fault chain: the checkpoint's chain block and
+// ChainResult hold the same record. `seed` is the seed of the run that
+// validated the step: base_seed for intermediate steps (the stitch run's
+// seed), the successful search round's seed for the final step.
+struct FaultChainStep {
   interp::InjectionCandidate candidate;
   uint64_t seed = 0;
   int rounds = 0;  // search rounds the step's phase consumed
+  // Relevant observable keys the step's stitch run newly flipped (empty for
+  // the final step — its run satisfied the oracle outright — and for every
+  // step of an independent search, which runs no stitch run).
   std::vector<std::string> stitched_observables;
-  friend bool operator==(const ChainStepCheckpoint&, const ChainStepCheckpoint&) = default;
+  friend bool operator==(const FaultChainStep&, const FaultChainStep&) = default;
 };
 
 // Summary of one injected (unsuccessful) round of the live chain phase.
@@ -106,7 +110,7 @@ struct ChainRoundCandidate {
 
 // Complete ChainExplorer search state (v3). Empty for plain searches.
 struct ChainState {
-  std::vector<ChainStepCheckpoint> steps;  // accepted chain prefix, in order
+  std::vector<FaultChainStep> steps;  // accepted chain prefix, in order
   int phase = 0;                           // completed phases
   int rounds_before_phase = 0;             // rounds consumed by completed phases
   std::vector<ir::FaultSiteId> stitched_sites;  // seeds for the live phase

@@ -10,6 +10,26 @@
 
 namespace anduril::explorer {
 
+std::unordered_set<std::string> RunLogKeys(const interp::RunResult& run) {
+  std::unordered_set<std::string> keys;
+  logdiff::ParsedLog log = logdiff::ParseLogFile(interp::FormatLogFile(run.log));
+  for (const logdiff::ParsedLine& line : log.lines) {
+    keys.insert(line.key);
+  }
+  return keys;
+}
+
+std::vector<std::string> ExplorerContext::PresentObservables(
+    const std::unordered_set<std::string>& keys) const {
+  std::vector<std::string> present;
+  for (const ObservableInfo& observable : observables_) {
+    if (keys.contains(observable.key)) {
+      present.push_back(observable.key);
+    }
+  }
+  return present;
+}
+
 ExplorerContext::ExplorerContext(const ExperimentSpec& spec, const ExplorerOptions& options)
     : spec_(&spec), options_(options) {
   Stopwatch init_timer;

@@ -53,6 +53,11 @@ struct InstanceEstimate {
   int64_t failure_pos = 0;  // estimated log clock in the failure log
 };
 
+// The sanitized message keys ("LEVEL|logger|message") of `run`'s log. Keys
+// come from the rendered log file, so only what a log file would show is
+// used. Every run-to-observables step of the search goes through here.
+std::unordered_set<std::string> RunLogKeys(const interp::RunResult& run);
+
 struct ObservableInfo {
   std::string key;
   std::vector<int64_t> failure_positions;  // log clocks in the failure log
@@ -77,6 +82,10 @@ class ExplorerContext {
   const logdiff::ParsedLog& normal_log() const { return normal_log_; }
   const std::vector<ObservableInfo>& observables() const { return observables_; }
   const analysis::CausalGraph& graph() const { return *graph_; }
+  // The relevant observables among `keys` (RunLogKeys of one or more runs),
+  // in observable order, so deterministic.
+  std::vector<std::string> PresentObservables(
+      const std::unordered_set<std::string>& keys) const;
 
   const std::vector<FaultCandidate>& candidates() const { return candidates_; }
   // L_{i,k}: distance from candidate i's node to observable k

@@ -142,17 +142,8 @@ std::vector<RepRun> ExecutePlan(const ExperimentSpec& spec, const ir::FlatProgra
   return executed;
 }
 
-// Parses one run's log into its set of sanitized message keys. Offloaded to
-// the pool when a round produced several logs.
-std::unordered_set<std::string> KeysOfRun(const interp::RunResult& run) {
-  std::unordered_set<std::string> keys;
-  logdiff::ParsedLog log = logdiff::ParseLogFile(interp::FormatLogFile(run.log));
-  for (const logdiff::ParsedLine& line : log.lines) {
-    keys.insert(line.key);
-  }
-  return keys;
-}
-
+// The union of the log keys of every run of a round. Offloaded to the pool
+// when a round produced several logs.
 std::unordered_set<std::string> CombinedKeys(const std::vector<RepRun>& executed,
                                              ThreadPool* pool) {
   std::unordered_set<std::string> combined;
@@ -160,29 +151,17 @@ std::unordered_set<std::string> CombinedKeys(const std::vector<RepRun>& executed
     std::vector<std::future<std::unordered_set<std::string>>> futures;
     futures.reserve(executed.size());
     for (const RepRun& rep : executed) {
-      futures.push_back(pool->Submit([&rep]() { return KeysOfRun(rep.run); }));
+      futures.push_back(pool->Submit([&rep]() { return RunLogKeys(rep.run); }));
     }
     for (auto& future : futures) {
       combined.merge(future.get());
     }
   } else {
     for (const RepRun& rep : executed) {
-      combined.merge(KeysOfRun(rep.run));
+      combined.merge(RunLogKeys(rep.run));
     }
   }
   return combined;
-}
-
-// Present relevant observables, in the context's (deterministic) order.
-std::vector<std::string> PresentKeys(const ExplorerContext& context,
-                                     const std::unordered_set<std::string>& run_keys) {
-  std::vector<std::string> present;
-  for (const ObservableInfo& observable : context.observables()) {
-    if (run_keys.contains(observable.key)) {
-      present.push_back(observable.key);
-    }
-  }
-  return present;
 }
 
 // A round is *transient* when the watchdog killed any of its runs: the host
@@ -249,10 +228,6 @@ Explorer::Explorer(const ExperimentSpec& spec, const ExplorerOptions& options,
   }
 }
 
-ExploreResult Explorer::Explore(InjectionStrategy* strategy) {
-  return Explore(strategy, CheckpointConfig{});
-}
-
 ExploreResult Explorer::Explore(InjectionStrategy* strategy, const CheckpointConfig& checkpoint) {
   Stopwatch total_timer;
   ExploreResult result;
@@ -262,8 +237,10 @@ ExploreResult Explorer::Explore(InjectionStrategy* strategy, const CheckpointCon
   obs::MetricsRegistry* metrics = options_.metrics;
   // Logical-timeline base of this search's rounds (see obs/trace.h): round r
   // occupies [phase_base + r*kRoundStride, +kRoundStride), plan item i of a
-  // round sits at +i*kItemStride on track i+1.
-  const int64_t phase_base = static_cast<int64_t>(options_.trace_phase) * obs::kPhaseStride;
+  // round sits at +i*kItemStride on track i+1. A chain search's phases each
+  // get their own region; a plain search is phase 0.
+  const int64_t phase_base =
+      checkpoint.chain != nullptr ? checkpoint.chain->phase * obs::kPhaseStride : 0;
 
   strategy->Initialize(*context_);
 
@@ -490,10 +467,10 @@ ExploreResult Explorer::Explore(InjectionStrategy* strategy, const CheckpointCon
 
     if (success && run.injected.has_value()) {
       if (strategy->WantsLogFeedback()) {
-        // The successful round's observable count matters too: the iterative
-        // multi-fault mode ranks rounds by it when picking a fault to pin.
+        // The successful round's observable count matters too: the
+        // multi-fault search ranks rounds by it when picking a fault to pin.
         record.present_observables =
-            static_cast<int>(PresentKeys(*context_, KeysOfRun(run)).size());
+            static_cast<int>(context_->PresentObservables(RunLogKeys(run)).size());
       }
       record.decide_seconds = decide_seconds;
       result.records.push_back(record);
@@ -565,7 +542,7 @@ ExploreResult Explorer::Explore(InjectionStrategy* strategy, const CheckpointCon
         }
       }
       // Let the round record reflect the round's real injection activity
-      // (the iterative mode pins record.candidate of the best round).
+      // (the multi-fault search pins record.candidate of the best round).
       if (!record.injected && outcome.injected.has_value()) {
         record.injected = true;
         record.candidate = *outcome.injected;
@@ -577,7 +554,7 @@ ExploreResult Explorer::Explore(InjectionStrategy* strategy, const CheckpointCon
       outcome.injected = run.injected;
     }
     if (strategy->WantsLogFeedback()) {
-      outcome.present_keys = PresentKeys(*context_, CombinedKeys(executed, pool));
+      outcome.present_keys = context_->PresentObservables(CombinedKeys(executed, pool));
       record.present_observables = static_cast<int>(outcome.present_keys.size());
       if (metrics != nullptr) {
         metrics->Observe("logdiff.present_observables", record.present_observables);

@@ -32,7 +32,7 @@ struct RoundRecord {
   int tracked_rank = -1;      // rank of options.track_site (Fig. 6)
   // How many relevant observables this round's log(s) contained — a proxy
   // for "how close was this run to the production failure" used by the
-  // iterative multi-fault mode.
+  // multi-fault search to pick the next chain step.
   int present_observables = -1;
   int64_t injection_requests = 0;
   int64_t decision_nanos = 0;  // runtime hook latency, cumulative
@@ -95,9 +95,10 @@ struct CheckpointConfig {
   const SearchCheckpoint* resume = nullptr;
   // Chain mode (ChainExplorer): the chain search state to persist alongside
   // every snapshot. The explorer copies it and appends one ChainRoundCandidate
-  // per injected round of the live inner search. Plain searches leave it null
-  // (an empty chain is written) and refuse to resume chain-bearing
-  // checkpoints.
+  // per injected round of the live inner search, and traces its rounds in
+  // the region of the chain's live phase. Plain searches leave it null (an
+  // empty chain is written, phase 0 is traced) and refuse to resume
+  // chain-bearing checkpoints.
   const ChainState* chain = nullptr;
 };
 
@@ -107,20 +108,19 @@ class Explorer {
 
   // Reuses a previously built analysis context (the shared analysis cache):
   // the static causal graph, distance matrix, and timeline are immutable
-  // after construction, so phases of an iterative search — or several
-  // explorers across threads — can share one context instead of re-running
-  // the whole static analysis. The runs themselves still use `spec` (oracle,
+  // after construction, so phases of an independent multi-fault search — or
+  // several explorers across threads — can share one context instead of
+  // re-running the whole static analysis. The runs themselves still use `spec` (oracle,
   // pinned faults, base seed), which may differ from the spec the context
   // was built from, as long as it describes the same program and cluster.
   Explorer(const ExperimentSpec& spec, const ExplorerOptions& options,
            std::shared_ptr<const ExplorerContext> context);
 
-  // Runs the search with the given strategy.
-  ExploreResult Explore(InjectionStrategy* strategy);
-  // Same, with checkpointing and/or resume. Checkpointing requires a
+  // Runs the search with the given strategy, with checkpointing and/or
+  // resume when `checkpoint` asks for them. Checkpointing requires a
   // strategy that implements SaveState (the feedback family does; the list
   // baselines do not).
-  ExploreResult Explore(InjectionStrategy* strategy, const CheckpointConfig& checkpoint);
+  ExploreResult Explore(InjectionStrategy* strategy, const CheckpointConfig& checkpoint = {});
 
   const ExplorerContext& context() const { return *context_; }
   // Handle for sharing the analysis with another Explorer.

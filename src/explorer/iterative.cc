@@ -11,119 +11,26 @@
 #include "src/obs/trace.h"
 #include "src/util/backoff.h"
 #include "src/util/check.h"
+#include "src/util/strings.h"
 
 namespace anduril::explorer {
 
-IterativeResult IterativeExplorer::Explore(int max_faults) {
-  ANDURIL_CHECK_GE(max_faults, 1);
-  IterativeResult result;
-
-  // Shared analysis cache: the static analysis (fault-free run, causal
-  // graph, distance matrix, timeline) is computed once in the first phase
-  // and reused by every later phase. Pinning a fault changes the *runs* of a
-  // phase, not the program or the production failure log the analysis is
-  // derived from; the feedback loop absorbs the now-expected observables of
-  // the pinned fault by deprioritizing them round over round.
-  std::shared_ptr<const ExplorerContext> analysis_cache;
-
-  for (int phase = 0; phase < max_faults; ++phase) {
-    ++result.phases;
-    if (options_.metrics != nullptr) {
-      options_.metrics->Add("iterative.phases");
-    }
-    if (options_.tracer != nullptr) {
-      options_.tracer->Instant("explore", "phase",
-                               static_cast<int64_t>(phase) * obs::kPhaseStride, 0,
-                               {obs::ArgInt("phase", phase),
-                                obs::ArgInt("pinned", static_cast<int64_t>(
-                                                          spec_.pinned_faults.size()))});
-    }
-    // Each phase traces into its own logical-time region so the spans of
-    // phase p never collide with those of phase p+1.
-    ExplorerOptions phase_options = options_;
-    phase_options.trace_phase = phase;
-    if (analysis_cache == nullptr) {
-      analysis_cache = std::make_shared<const ExplorerContext>(spec_, phase_options);
-    }
-    Explorer explorer(spec_, phase_options, analysis_cache);
-    auto strategy = MakeFullFeedbackStrategy();
-    ExploreResult search = explorer.Explore(strategy.get());
-    result.total_rounds += search.rounds;
-
-    if (search.reproduced) {
-      // Record the pinned prefix followed by the final fault.
-      result.reproduced = true;
-      result.faults.push_back(*search.script);
-      return result;
-    }
-    if (phase + 1 == max_faults) {
-      break;
-    }
-
-    // Pick the injected round whose (combined) log contained the most
-    // relevant observables: its fault moved the system closest to the
-    // production failure.
-    const RoundRecord* best = nullptr;
-    for (const RoundRecord& record : search.records) {
-      if (!record.injected) {
-        continue;
-      }
-      if (best == nullptr || record.present_observables > best->present_observables) {
-        best = &record;
-      }
-    }
-    if (best == nullptr) {
-      break;  // nothing was ever injected; pinning cannot help
-    }
-    spec_.pinned_faults.push_back(best->candidate);
-    if (options_.metrics != nullptr) {
-      options_.metrics->Add("iterative.pinned");
-    }
-    ReproductionScript pinned;
-    pinned.site = best->candidate.site;
-    pinned.occurrence = best->candidate.occurrence;
-    pinned.type = best->candidate.type;
-    pinned.kind = best->candidate.kind;
-    pinned.seed = spec_.base_seed;
-    result.faults.push_back(pinned);
+std::string FaultChain::ToText(const ir::Program& program) const {
+  std::string text;
+  for (size_t i = 0; i < steps.size(); ++i) {
+    const FaultChainStep& step = steps[i];
+    const char* what = step.candidate.kind == interp::FaultKind::kException
+                           ? program.exception_type(step.candidate.type).name.c_str()
+                           : interp::FaultKindName(step.candidate.kind);
+    text += StrFormat("step %zu: %s, %s at occurrence %lld (seed %llu)\n", i + 1,
+                      program.fault_site(step.candidate.site).name.c_str(), what,
+                      static_cast<long long>(step.candidate.occurrence),
+                      static_cast<unsigned long long>(step.seed));
   }
-  return result;
-}
-
-bool IterativeExplorer::Replay(ExperimentSpec spec, const IterativeResult& result) {
-  if (!result.reproduced || result.faults.empty()) {
-    return false;
-  }
-  // All but the last fault are pinned; the last is the window injection.
-  spec.pinned_faults.clear();
-  for (size_t i = 0; i + 1 < result.faults.size(); ++i) {
-    const ReproductionScript& fault = result.faults[i];
-    spec.pinned_faults.push_back(
-        interp::InjectionCandidate{fault.site, fault.occurrence, fault.type, fault.kind});
-  }
-  return Explorer::Replay(spec, result.faults.back());
+  return text;
 }
 
 namespace {
-
-// Relevant observable keys (of the *phase* context, whose baseline already
-// includes the chain prefix) present in `run`'s log: the symptoms this run
-// newly flipped. Context observable order, so deterministic.
-std::vector<std::string> FlippedObservables(const ExplorerContext& context,
-                                            const interp::RunResult& run) {
-  std::unordered_set<std::string> keys;
-  logdiff::ParsedLog log = logdiff::ParseLogFile(interp::FormatLogFile(run.log));
-  for (const logdiff::ParsedLine& line : log.lines) {
-    keys.insert(line.key);
-  }
-  std::vector<std::string> present;
-  for (const ObservableInfo& observable : context.observables()) {
-    if (keys.contains(observable.key)) {
-      present.push_back(observable.key);
-    }
-  }
-  return present;
-}
 
 // Fault sites `run` executed that the phase baseline never reached (zero
 // instance estimates): the causal stitches — the places the cascade can only
@@ -182,15 +89,25 @@ StitchRunResult RunChainStitch(const ExperimentSpec& spec,
   return result;
 }
 
-ChainResult ChainExplorer::Explore(int max_chain_length) {
-  return Explore(max_chain_length, CheckpointConfig{});
+Explorer ChainExplorer::PhaseExplorer(const ExperimentSpec& phase_spec,
+                                      const ExplorerOptions& options,
+                                      std::shared_ptr<const ExplorerContext>* shared) const {
+  if (policy_ == Policy::kCascade) {
+    return Explorer(phase_spec, options);
+  }
+  if (*shared == nullptr) {
+    *shared = std::make_shared<const ExplorerContext>(spec_, options);
+  }
+  return Explorer(phase_spec, options, *shared);
 }
 
 ChainResult ChainExplorer::Explore(int max_chain_length, const CheckpointConfig& checkpoint) {
   ANDURIL_CHECK_GE(max_chain_length, 1);
   ChainResult result;
+  ExperimentSpec spec = spec_;  // the accepted prefix is pinned per phase
+  std::shared_ptr<const ExplorerContext> shared_context;  // kIndependent only
 
-  // The persisted search state (v3 chain block): accepted prefix, completed
+  // The persisted search state (chain block): accepted prefix, completed
   // phases, the stitched-site seeds for the live phase, and the live phase's
   // injected-round summaries (filled in by the inner Explorer's snapshots).
   ChainState chain_state;
@@ -199,10 +116,9 @@ ChainResult ChainExplorer::Explore(int max_chain_length, const CheckpointConfig&
     chain_state = resume->chain;
     ANDURIL_CHECK_LE(static_cast<int>(chain_state.steps.size()), max_chain_length)
         << "checkpoint chain is longer than this search's max_chain_length";
-    for (const ChainStepCheckpoint& step : chain_state.steps) {
-      spec_.pinned_faults.push_back(step.candidate);
-      result.chain.steps.push_back(FaultChainStep{step.candidate, step.seed, step.rounds,
-                                                  step.stitched_observables});
+    result.chain.steps = chain_state.steps;
+    for (const FaultChainStep& step : chain_state.steps) {
+      spec.pinned_faults.push_back(step.candidate);
     }
     result.phases = chain_state.phase;
     result.total_rounds = chain_state.rounds_before_phase;
@@ -218,7 +134,7 @@ ChainResult ChainExplorer::Explore(int max_chain_length, const CheckpointConfig&
       options_.tracer->Instant("explore", "chain_phase", phase_base, 0,
                                {obs::ArgInt("phase", phase),
                                 obs::ArgInt("pinned", static_cast<int64_t>(
-                                                          spec_.pinned_faults.size()))});
+                                                          spec.pinned_faults.size()))});
     }
     // Global round budget (kill emulation / hard bound): cut this phase's
     // per-phase cap down to whatever the budget still allows.
@@ -227,19 +143,13 @@ ChainResult ChainExplorer::Explore(int max_chain_length, const CheckpointConfig&
       return result;
     }
     ExplorerOptions phase_options = options_;
-    phase_options.trace_phase = phase;
     if (options_.max_total_rounds > 0) {
       const int remaining = options_.max_total_rounds - result.total_rounds;
       if (remaining < phase_options.max_rounds) {
         phase_options.max_rounds = remaining;
       }
     }
-    // No shared analysis cache here — that sharing is exactly what blinds
-    // the independent iterative mode to cascades. Each phase rebuilds the
-    // context over the *degraded* baseline (chain prefix pinned): sites the
-    // prefix newly exposed gain instance estimates, and observables the
-    // prefix already flipped drop out of the relevant set.
-    Explorer explorer(spec_, phase_options);
+    Explorer explorer = PhaseExplorer(spec, phase_options, &shared_context);
     auto strategy = MakeFullFeedbackStrategy();
     strategy->SeedStitchedSites(chain_state.stitched_sites);
 
@@ -280,75 +190,67 @@ ChainResult ChainExplorer::Explore(int max_chain_length, const CheckpointConfig&
       return result;
     }
 
-    // Stitch-candidate pick. Merge the summaries restored from the
-    // checkpoint (rounds that died with the killed process) with this
-    // search's records, dedup by candidate keeping the most-promising entry,
-    // and order by (observables present desc, round asc) — the fault that
-    // moved the system closest to the production failure, earliest, gets the
-    // first stitch attempt.
-    std::vector<ChainRoundCandidate> merged = chain_state.round_candidates;
+    // Candidate pick: every injected round of this phase — the summaries
+    // restored from the checkpoint (rounds that died with the killed
+    // process) and this search's records — ordered by (observables present
+    // desc, round asc): the fault that moved the system closest to the
+    // production failure, earliest, comes first. Rounds are unique, so the
+    // order is total, and a candidate's first entry is its most promising.
+    std::vector<ChainRoundCandidate> picks = chain_state.round_candidates;
     for (const RoundRecord& record : search.records) {
-      if (!record.injected) {
-        continue;
-      }
-      merged.push_back(
-          ChainRoundCandidate{record.candidate, record.present_observables, record.round});
-    }
-    std::vector<ChainRoundCandidate> summaries;
-    for (const ChainRoundCandidate& entry : merged) {
-      ChainRoundCandidate* existing = nullptr;
-      for (ChainRoundCandidate& summary : summaries) {
-        if (summary.candidate == entry.candidate) {
-          existing = &summary;
-          break;
-        }
-      }
-      if (existing == nullptr) {
-        summaries.push_back(entry);
-      } else if (entry.present_observables > existing->present_observables ||
-                 (entry.present_observables == existing->present_observables &&
-                  entry.round < existing->round)) {
-        *existing = entry;
+      if (record.injected) {
+        picks.push_back(
+            ChainRoundCandidate{record.candidate, record.present_observables, record.round});
       }
     }
-    std::stable_sort(summaries.begin(), summaries.end(),
-                     [](const ChainRoundCandidate& a, const ChainRoundCandidate& b) {
-                       if (a.present_observables != b.present_observables) {
-                         return a.present_observables > b.present_observables;
-                       }
-                       return a.round < b.round;
-                     });
+    std::sort(picks.begin(), picks.end(),
+              [](const ChainRoundCandidate& a, const ChainRoundCandidate& b) {
+                if (a.present_observables != b.present_observables) {
+                  return a.present_observables > b.present_observables;
+                }
+                return a.round < b.round;
+              });
 
+    // Acceptance. kIndependent pins the first candidate as is. kCascade
+    // stitches: a candidate joins the chain only if pinning it genuinely
+    // moved the system — it flipped still-missing observables, or executed
+    // fault sites the degraded baseline never reached.
     bool extended = false;
-    for (const ChainRoundCandidate& summary : summaries) {
-      StitchRunResult stitch = RunChainStitch(spec_, summary.candidate, options_);
-      if (options_.metrics != nullptr) {
-        options_.metrics->Add("chain.stitch_runs");
-        if (stitch.retries > 0) {
-          options_.metrics->Add("chain.stitch_retries", stitch.retries);
-        }
+    for (auto pick = picks.begin(); pick != picks.end(); ++pick) {
+      const ChainRoundCandidate& summary = *pick;
+      if (std::any_of(picks.begin(), pick, [&](const ChainRoundCandidate& earlier) {
+            return earlier.candidate == summary.candidate;
+          })) {
+        continue;  // a repeat of a candidate already tried
       }
-      if (stitch.demote_chain) {
-        ++result.demoted_chain_candidates;
+      std::vector<std::string> flipped;
+      std::vector<ir::FaultSiteId> new_sites;
+      if (policy_ == Policy::kCascade) {
+        StitchRunResult stitch = RunChainStitch(spec, summary.candidate, options_);
         if (options_.metrics != nullptr) {
-          options_.metrics->Add("chain.demoted");
+          options_.metrics->Add("chain.stitch_runs");
+          if (stitch.retries > 0) {
+            options_.metrics->Add("chain.stitch_retries", stitch.retries);
+          }
         }
-        continue;
-      }
-      // Causal stitching: accept the candidate only if pinning it genuinely
-      // moved the system — it flipped still-missing observables, or executed
-      // fault sites the degraded baseline never reached.
-      std::vector<std::string> flipped = FlippedObservables(explorer.context(), stitch.run);
-      std::vector<ir::FaultSiteId> new_sites = NewlyExecutedSites(explorer.context(), stitch.run);
-      if (flipped.empty() && new_sites.empty()) {
-        continue;
+        if (stitch.demote_chain) {
+          ++result.demoted_chain_candidates;
+          if (options_.metrics != nullptr) {
+            options_.metrics->Add("chain.demoted");
+          }
+          continue;
+        }
+        flipped = explorer.context().PresentObservables(RunLogKeys(stitch.run));
+        new_sites = NewlyExecutedSites(explorer.context(), stitch.run);
+        if (flipped.empty() && new_sites.empty()) {
+          continue;
+        }
       }
 
-      spec_.pinned_faults.push_back(summary.candidate);
-      result.chain.steps.push_back(
-          FaultChainStep{summary.candidate, spec_.base_seed, search.rounds, flipped});
+      spec.pinned_faults.push_back(summary.candidate);
       chain_state.steps.push_back(
-          ChainStepCheckpoint{summary.candidate, spec_.base_seed, search.rounds, flipped});
+          FaultChainStep{summary.candidate, spec.base_seed, search.rounds, flipped});
+      result.chain.steps.push_back(chain_state.steps.back());
       chain_state.phase = phase + 1;
       chain_state.rounds_before_phase += search.rounds;
       chain_state.stitched_sites = std::move(new_sites);
@@ -363,8 +265,7 @@ ChainResult ChainExplorer::Explore(int max_chain_length, const CheckpointConfig&
             phase_base + static_cast<int64_t>(search.rounds + 1) * obs::kRoundStride, 0,
             {obs::ArgInt("phase", phase), obs::ArgInt("site", summary.candidate.site),
              obs::ArgInt("occurrence", summary.candidate.occurrence),
-             obs::ArgInt("flipped", static_cast<int64_t>(
-                                        result.chain.steps.back().stitched_observables.size())),
+             obs::ArgInt("flipped", static_cast<int64_t>(flipped.size())),
              obs::ArgInt("new_sites",
                          static_cast<int64_t>(chain_state.stitched_sites.size()))});
       }

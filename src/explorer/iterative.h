@@ -1,44 +1,44 @@
-// Iterative multi-fault reproduction (paper §3 "Assumptions" / §6), and its
-// cascading generalization: ordered fault chains with causal stitching.
+// Multi-fault reproduction (paper §3 "Assumptions" / §6), and its cascading
+// generalization: ordered fault chains with causal stitching. One driver,
+// ChainExplorer, runs both as phases of the same loop.
 //
 // ANDURIL injects a single fault per run, so a failure that needs several
-// causally-independent root-cause faults cannot be reproduced in one search.
-// The paper's prescribed workflow: run ANDURIL; if the symptom is not
-// reproduced, take the round whose logs came *closest* to the production
-// failure log, fix that round's fault into the workload, and run ANDURIL
-// again — one fault at a time.
+// root-cause faults cannot be reproduced in one search. The paper's
+// prescribed workflow: run ANDURIL; if the symptom is not reproduced, take
+// the round whose logs came *closest* to the production failure log, fix
+// that round's fault into the workload, and run ANDURIL again — one fault at
+// a time. Each phase of ChainExplorer is one such search; between phases the
+// most promising injected candidate (most relevant observables present,
+// earliest round) becomes the next pinned chain step. The phase policy,
+// fixed at construction, decides how a phase is set up and what it takes to
+// accept a step:
 //
-// IterativeExplorer automates that loop: after every unsuccessful search it
-// pins the most-promising injected instance (the one whose combined run log
-// contained the most relevant observables) into the experiment's
-// pinned_faults and restarts the search, up to `max_faults` pinned faults.
+// - Policy::kIndependent (the paper's workflow): all phases share one
+//   immutable ExplorerContext, built in phase 0 — the causal graph, distance
+//   matrix and timeline are computed once and reused. The first candidate
+//   in the pick order is pinned as is; the feedback loop absorbs its
+//   now-expected observables by deprioritizing them.
 //
-// All IterativeExplorer phases share one immutable ExplorerContext (the
-// shared analysis cache): the causal graph, distance matrix, and timeline
-// are computed once in the first phase and reused, instead of re-running the
-// static analysis per phase. The feedback loop absorbs the pinned fault's
-// now-expected observables by deprioritizing them.
-//
-// That sharing is exactly what makes IterativeExplorer blind to *cascading*
-// failures. The context's instance estimates come from the fault-free
-// baseline run, so a fault site that only executes while an earlier fault is
-// active has zero instances and is never armed — independent multi-fault
-// search provably caps out on such cases. ChainExplorer closes the gap
-// (CSnake-style): it searches an *ordered* FaultChain, rebuilding the
-// analysis context at every phase with the accepted chain prefix pinned into
-// the baseline. The degraded baseline (a) gives instances to the sites the
-// previous fault newly exposed and (b) shrinks the observable set to the
-// still-missing symptoms. Between phases it runs a *stitch run* for the most
-// promising injected candidate (prefix + candidate pinned, no window) and
-// accepts the candidate as the next chain step only if the stitch run
-// genuinely moved the system: it flipped relevant observables or executed
-// fault sites the phase baseline never reached. Those newly-executed sites
-// are the causal stitches — they seed the next phase's candidate ranking via
-// InjectionStrategy::SeedStitchedSites.
+// - Policy::kCascade (the default; CSnake-style): that sharing is exactly
+//   what blinds the independent policy to *cascading* failures. The
+//   context's instance estimates come from the fault-free baseline run, so a
+//   fault site that only executes while an earlier fault is active has zero
+//   instances and is never armed. The cascade policy rebuilds the context at
+//   every phase with the accepted prefix pinned into the baseline: the
+//   degraded baseline (a) gives instances to the sites the previous fault
+//   newly exposed and (b) shrinks the observable set to the still-missing
+//   symptoms. Before accepting a candidate it runs a *stitch run* (prefix +
+//   candidate pinned, no window) and accepts only if the run genuinely moved
+//   the system: it flipped relevant observables or executed fault sites the
+//   phase baseline never reached. Those newly-executed sites are the causal
+//   stitches — they seed the next phase's candidate ranking via
+//   InjectionStrategy::SeedStitchedSites.
 
 #ifndef ANDURIL_SRC_EXPLORER_ITERATIVE_H_
 #define ANDURIL_SRC_EXPLORER_ITERATIVE_H_
 
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "src/explorer/explorer.h"
@@ -46,49 +46,14 @@
 
 namespace anduril::explorer {
 
-struct IterativeResult {
-  bool reproduced = false;
-  // Every fault needed, in discovery order; the last entry is the one whose
-  // injection finally satisfied the oracle.
-  std::vector<ReproductionScript> faults;
-  int total_rounds = 0;
-  int phases = 0;  // searches executed (1 = single-fault success)
-};
-
-class IterativeExplorer {
- public:
-  IterativeExplorer(const ExperimentSpec& spec, const ExplorerOptions& options)
-      : spec_(spec), options_(options) {}
-
-  // Searches with up to `max_faults` pinned faults (max_faults >= 1).
-  IterativeResult Explore(int max_faults);
-
-  // Replays a full multi-fault reproduction.
-  static bool Replay(ExperimentSpec spec, const IterativeResult& result);
-
- private:
-  ExperimentSpec spec_;  // by value: pinned_faults grows per phase
-  ExplorerOptions options_;
-};
-
-// One accepted step of an ordered fault chain. `seed` is the seed of the run
-// that validated the step: the stitch run (== base_seed) for intermediate
-// steps, the successful search round's seed for the final step.
-struct FaultChainStep {
-  interp::InjectionCandidate candidate;
-  uint64_t seed = 0;
-  int rounds = 0;  // search rounds the step's phase consumed
-  // Relevant observable keys the step's stitch run newly flipped (empty for
-  // the final step — its run satisfied the oracle outright).
-  std::vector<std::string> stitched_observables;
-  friend bool operator==(const FaultChainStep&, const FaultChainStep&) = default;
-};
-
-// An ordered sequence of faults that together reproduce a cascading
-// failure. Unlike IterativeResult's independent faults, order matters: step
-// N's candidate typically has no dynamic instance until steps 1..N-1 fired.
+// An ordered sequence of faults that together reproduce the failure. In a
+// cascade order matters: step N's candidate typically has no dynamic
+// instance until steps 1..N-1 fired.
 struct FaultChain {
   std::vector<FaultChainStep> steps;
+  // One "step N: <site>, <exception type or fault kind> at occurrence <n>
+  // (seed <s>)" line per step: the chain's reproduction script.
+  std::string ToText(const ir::Program& program) const;
   friend bool operator==(const FaultChain&, const FaultChain&) = default;
 };
 
@@ -127,25 +92,34 @@ StitchRunResult RunChainStitch(const ExperimentSpec& spec,
                                const interp::InjectionCandidate& candidate,
                                const ExplorerOptions& options);
 
-// Ordered-chain search (header comment above). Deterministic under a fixed
-// seed at any thread count; supports checkpoint/resume mid-chain via the v3
-// chain block.
+// The multi-fault search (header comment above). Deterministic under a
+// fixed seed at any thread count; supports checkpoint/resume mid-chain via
+// the checkpoint's chain block under either policy.
 class ChainExplorer {
  public:
-  ChainExplorer(const ExperimentSpec& spec, const ExplorerOptions& options)
-      : spec_(spec), options_(options) {}
+  enum class Policy { kCascade, kIndependent };
+
+  ChainExplorer(const ExperimentSpec& spec, const ExplorerOptions& options,
+                Policy policy = Policy::kCascade)
+      : spec_(spec), options_(options), policy_(policy) {}
 
   // Searches chains of up to `max_chain_length` steps (>= 1).
-  ChainResult Explore(int max_chain_length);
-  ChainResult Explore(int max_chain_length, const CheckpointConfig& checkpoint);
+  ChainResult Explore(int max_chain_length, const CheckpointConfig& checkpoint = {});
 
   // Replays a full chain reproduction: all but the last step pinned, the
   // last as the window injection at its recorded seed.
   static bool Replay(ExperimentSpec spec, const ChainResult& result);
 
  private:
-  ExperimentSpec spec_;  // by value: the accepted prefix is pinned per phase
+  // The explorer of one phase over `phase_spec` (the accepted prefix
+  // pinned). kIndependent builds the shared context on first use, over the
+  // search's own spec, and reuses it through `*shared`.
+  Explorer PhaseExplorer(const ExperimentSpec& phase_spec, const ExplorerOptions& options,
+                         std::shared_ptr<const ExplorerContext>* shared) const;
+
+  ExperimentSpec spec_;
   ExplorerOptions options_;
+  Policy policy_;
 };
 
 }  // namespace anduril::explorer

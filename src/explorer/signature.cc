@@ -238,8 +238,7 @@ SignatureReplay ReplaySignature(const ExperimentSpec& spec, const FaultSignature
                result.run.pinned_fired == static_cast<int64_t>(resolved.size()) - 1 &&
                spec.oracle(*spec.program, result.run);
   if (fired && !signature.oracle_keys.empty()) {
-    std::unordered_set<std::string> keys =
-        KeysOfLogText(interp::FormatLogFile(result.run.log));
+    std::unordered_set<std::string> keys = RunLogKeys(result.run);
     for (const std::string& key : signature.oracle_keys) {
       if (!keys.contains(key)) {
         fired = false;

@@ -3,7 +3,7 @@
 //
 // Timestamps are logical, not wall clock: the explorer lays each round out
 // on a fixed grid (kRoundStride logical units per round, kItemStride per
-// plan item, kPhaseStride per iterative phase), so a fixed-seed search
+// plan item, kPhaseStride per multi-fault phase), so a fixed-seed search
 // emits the byte-identical trace at any thread count — the property the
 // golden-trace regression test locks down. Spans may additionally carry a
 // wall-clock duration (wall_nanos) for profiling; it is excluded from

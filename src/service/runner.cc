@@ -18,23 +18,6 @@
 namespace anduril::service {
 namespace {
 
-std::string ChainToText(const ir::Program& program, const explorer::FaultChain& chain) {
-  std::string text;
-  for (size_t i = 0; i < chain.steps.size(); ++i) {
-    const explorer::FaultChainStep& step = chain.steps[i];
-    const char* what = step.candidate.kind == interp::FaultKind::kException
-                           ? program.exception_type(step.candidate.type).name.c_str()
-                           : interp::FaultKindName(step.candidate.kind);
-    char line[256];
-    std::snprintf(line, sizeof(line), "step %zu: %s, %s at occurrence %lld (seed %llu)\n",
-                  i + 1, program.fault_site(step.candidate.site).name.c_str(), what,
-                  static_cast<long long>(step.candidate.occurrence),
-                  static_cast<unsigned long long>(step.seed));
-    text += line;
-  }
-  return text;
-}
-
 WorkResult Error(const std::string& case_id, std::string message) {
   WorkResult result;
   result.case_id = case_id;
@@ -101,7 +84,7 @@ WorkResult RunSlice(ContextCache* cache, const WorkUnit& unit,
     result.rounds_done = chain.total_rounds;
     if (chain.reproduced) {
       result.status = SliceStatus::kReproduced;
-      result.script = ChainToText(*entry->built.program, chain.chain);
+      result.script = chain.chain.ToText(*entry->built.program);
       result.script_seed = chain.chain.steps.back().seed;
     } else if (chain.interrupted) {
       result.status = SliceStatus::kInterrupted;

@@ -60,12 +60,12 @@ TEST(CheckpointTest, SerializeParseRoundTripIsLossless) {
   snap.strategy.demotions.push_back(
       {interp::InjectionCandidate{8, 4, ir::kInvalidId, interp::FaultKind::kStall}, 2});
   // v3 chain block: an accepted two-step prefix mid-search.
-  snap.chain.steps.push_back(ChainStepCheckpoint{
+  snap.chain.steps.push_back(FaultChainStep{
       interp::InjectionCandidate{3, 9, 2, interp::FaultKind::kException},
       (1ull << 62) + 5,
       20,
       {"ERROR append failed", "WARN retry queued"}});
-  snap.chain.steps.push_back(ChainStepCheckpoint{
+  snap.chain.steps.push_back(FaultChainStep{
       interp::InjectionCandidate{5, 1, ir::kInvalidId, interp::FaultKind::kCrash}, 1, 13, {}});
   snap.chain.phase = 2;
   snap.chain.rounds_before_phase = 33;
@@ -243,7 +243,7 @@ TEST(CheckpointTest, RejectsVersion2FileWithChainStateWithActionableError) {
 
 TEST(CheckpointTest, RejectsTamperedChainSignatureHash) {
   SearchCheckpoint snap;
-  snap.chain.steps.push_back(ChainStepCheckpoint{
+  snap.chain.steps.push_back(FaultChainStep{
       interp::InjectionCandidate{3, 9, 2, interp::FaultKind::kException}, 1, 20, {"obs"}});
   std::string text = SerializeCheckpoint(snap);
   // Flip one digit of the recorded hash: the chain state no longer matches.
@@ -263,7 +263,7 @@ TEST(CheckpointTest, RejectsTamperedChainStep) {
   // Editing the chain block itself (not the hash) must fail the same check:
   // the recomputed hash diverges from the recorded one.
   SearchCheckpoint snap;
-  snap.chain.steps.push_back(ChainStepCheckpoint{
+  snap.chain.steps.push_back(FaultChainStep{
       interp::InjectionCandidate{3, 777, 2, interp::FaultKind::kException}, 1, 20, {}});
   std::string text = SerializeCheckpoint(snap);
   size_t pos = text.find("777");

@@ -89,8 +89,8 @@ TEST(FaultChainTest, IndependentIterativeSearchCapsOutOnEveryCascade) {
     systems::BuiltCase built = systems::BuildCase(failure_case);
     ExplorerOptions options = OptionsForCase(failure_case, 1);
     options.max_rounds = kDoomedRounds;
-    IterativeExplorer iterative(built.spec, options);
-    IterativeResult result = iterative.Explore(/*max_faults=*/3);
+    ChainExplorer iterative(built.spec, options, ChainExplorer::Policy::kIndependent);
+    ChainResult result = iterative.Explore(/*max_chain_length=*/3);
     // The independent mode shares one analysis cache across phases: the
     // instance estimates stay those of the healthy baseline, so sites that
     // only execute under an earlier fault are never armed.
@@ -248,18 +248,8 @@ ChainResult IndependentSearch(const systems::FailureCase& failure_case) {
   built.cluster.wall_budget_ms = 0;
   ExplorerOptions options = OptionsForCase(failure_case, 1);
   options.max_rounds = kDoomedRounds;
-  IterativeExplorer iterative(built.spec, options);
-  IterativeResult independent = iterative.Explore(/*max_faults=*/3);
-  ChainResult result;
-  result.reproduced = independent.reproduced;
-  result.phases = independent.phases;
-  result.total_rounds = independent.total_rounds;
-  for (const ReproductionScript& fault : independent.faults) {
-    result.chain.steps.push_back(FaultChainStep{
-        interp::InjectionCandidate{fault.site, fault.occurrence, fault.type, fault.kind},
-        fault.seed, 0, {}});
-  }
-  return result;
+  ChainExplorer iterative(built.spec, options, ChainExplorer::Policy::kIndependent);
+  return iterative.Explore(/*max_chain_length=*/3);
 }
 
 TEST(MultiFaultGoldenTest, SearchesMatchGoldenDigests) {

@@ -1,9 +1,13 @@
 // Tests for the extension features: pinned faults (multi-fault workloads),
-// the iterative multi-fault explorer (§3/§6), combined runs per round (§6),
+// the independent multi-fault search (§3/§6), combined runs per round (§6),
 // and the §5.2.3/§5.2.4 design-alternative strategies.
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <string>
+
+#include "src/explorer/checkpoint.h"
 #include "src/explorer/iterative.h"
 #include "src/interp/log_entry.h"
 #include "src/interp/simulator.h"
@@ -146,34 +150,70 @@ TEST_F(MultiFaultTest, SingleFaultSearchCannotReproduce) {
   EXPECT_FALSE(explorer.Explore(strategy.get()).reproduced);
 }
 
+ChainResult IndependentSearch(const ExperimentSpec& spec, const ExplorerOptions& options,
+                              int max_faults, const CheckpointConfig& checkpoint = {}) {
+  ChainExplorer iterative(spec, options, ChainExplorer::Policy::kIndependent);
+  return iterative.Explore(max_faults, checkpoint);
+}
+
 TEST_F(MultiFaultTest, IterativeSearchReproducesWithTwoFaults) {
   Build();
   ExplorerOptions options;
   options.max_rounds = 100;
-  IterativeExplorer iterative(spec_, options);
-  IterativeResult result = iterative.Explore(/*max_faults=*/2);
+  ChainResult result = IndependentSearch(spec_, options, /*max_faults=*/2);
   ASSERT_TRUE(result.reproduced);
   EXPECT_EQ(result.phases, 2);
-  ASSERT_EQ(result.faults.size(), 2u);
+  ASSERT_EQ(result.chain.steps.size(), 2u);
   // One fault per site, in either order.
-  EXPECT_NE(result.faults[0].site, result.faults[1].site);
-  EXPECT_TRUE(IterativeExplorer::Replay(spec_, result));
+  EXPECT_NE(result.chain.steps[0].candidate.site, result.chain.steps[1].candidate.site);
+  EXPECT_TRUE(ChainExplorer::Replay(spec_, result));
 }
 
 TEST_F(MultiFaultTest, IterativeWithOneFaultBudgetFails) {
   Build();
   ExplorerOptions options;
   options.max_rounds = 60;
-  IterativeExplorer iterative(spec_, options);
-  IterativeResult result = iterative.Explore(/*max_faults=*/1);
+  ChainResult result = IndependentSearch(spec_, options, /*max_faults=*/1);
   EXPECT_FALSE(result.reproduced);
   EXPECT_EQ(result.phases, 1);
 }
 
 TEST_F(MultiFaultTest, ReplayRejectsEmptyResult) {
   Build();
-  IterativeResult empty;
-  EXPECT_FALSE(IterativeExplorer::Replay(spec_, empty));
+  ChainResult empty;
+  EXPECT_FALSE(ChainExplorer::Replay(spec_, empty));
+}
+
+// The independent policy resumes like the cascade one: killed inside phase 1
+// or at the phase boundary (pick not yet made), the resumed search rebuilds
+// the shared context over the search's own spec and re-makes the same pick.
+TEST_F(MultiFaultTest, IterativeKillResumeIsByteIdentical) {
+  Build();
+  ExplorerOptions options;
+  options.max_rounds = 100;
+  ChainResult baseline = IndependentSearch(spec_, options, 2);
+  ASSERT_TRUE(baseline.reproduced);
+  const int phase1_rounds = baseline.chain.steps.front().rounds;
+  ASSERT_GE(phase1_rounds, 2);
+
+  for (int kill_after : {phase1_rounds - 1, phase1_rounds}) {
+    SCOPED_TRACE(kill_after);
+    const std::string path = ::testing::TempDir() + "/iterative_resume.json";
+    ExplorerOptions truncated = options;
+    truncated.max_total_rounds = kill_after;
+    ChainResult killed =
+        IndependentSearch(spec_, truncated, 2, CheckpointConfig{path, nullptr});
+    ASSERT_FALSE(killed.reproduced);
+    SearchCheckpoint snap;
+    std::string error;
+    ASSERT_TRUE(LoadCheckpointFile(path, &snap, &error)) << error;
+    EXPECT_FALSE(snap.chain.round_candidates.empty());
+    ChainResult resumed = IndependentSearch(spec_, options, 2, CheckpointConfig{"", &snap});
+    EXPECT_EQ(resumed.chain, baseline.chain);
+    EXPECT_EQ(resumed.total_rounds, baseline.total_rounds);
+    EXPECT_EQ(resumed.phases, baseline.phases);
+    std::remove(path.c_str());
+  }
 }
 
 // Pins both pair searches above in tests/golden/multifault_digests.txt
@@ -184,19 +224,10 @@ TEST_F(MultiFaultTest, IterativeSearchesMatchGoldenDigests) {
   for (auto [max_faults, max_rounds] : {std::pair{2, 100}, std::pair{1, 60}}) {
     ExplorerOptions options;
     options.max_rounds = max_rounds;
-    IterativeExplorer iterative(spec_, options);
-    IterativeResult independent = iterative.Explore(max_faults);
-    ChainResult result;
-    result.reproduced = independent.reproduced;
-    result.phases = independent.phases;
-    result.total_rounds = independent.total_rounds;
-    for (const ReproductionScript& fault : independent.faults) {
-      result.chain.steps.push_back(FaultChainStep{
-          interp::InjectionCandidate{fault.site, fault.occurrence, fault.type, fault.kind},
-          fault.seed, 0, {}});
-    }
-    lines.emplace_back("independent pair f" + std::to_string(max_faults),
-                       MultiFaultDigest(result, /*with_step_rounds=*/false));
+    lines.emplace_back(
+        "independent pair f" + std::to_string(max_faults),
+        MultiFaultDigest(IndependentSearch(spec_, options, max_faults),
+                         /*with_step_rounds=*/false));
   }
   CheckGoldenDigests("multifault_digests.txt", "iterative_test", lines,
                      "# Multi-fault search digests (FNV-1a over reproduced, phases, total rounds,\n"
