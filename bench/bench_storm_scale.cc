@@ -91,7 +91,11 @@ constexpr size_t kSweepObservables = 64;
 constexpr size_t kRaisedObservables = 4;
 constexpr int kWarmupRounds = 64;   // drains the raised observables' buckets
 constexpr int kTimedRounds = 1024;
-constexpr int kRepetitions = 5;     // keep the minimum, standard bench practice
+// Incremental timing: every point is timed once per batch, the points in
+// rotated order, so host-load drift lands on all of them alike; each point
+// keeps its minimum over the batches.
+constexpr int kBatches = 31;
+constexpr int kRepetitions = 5;     // full re-rank reference: keep the minimum
 constexpr int kWindow = 10;
 
 EngineSpec SweepSpec(size_t candidates, std::mt19937* rng) {
@@ -152,37 +156,42 @@ void RunIncrementalRound(PriorityEngine& engine) {
 
 struct SweepPoint {
   size_t candidates = 0;
-  double incremental_round_nanos = 0;  // steady-state, min over repetitions
+  double incremental_round_nanos = 0;  // steady-state, min over batches
   double full_rerank_round_nanos = 0;  // Reset-based recompute, same schedule
 };
 
-SweepPoint MeasurePoint(size_t candidates) {
+EngineSpec PointSpec(size_t candidates) {
   std::mt19937 rng(0x5707 + candidates);
-  EngineSpec spec = SweepSpec(candidates, &rng);
+  return SweepSpec(candidates, &rng);
+}
 
-  SweepPoint point;
-  point.candidates = candidates;
-  point.incremental_round_nanos = 1e18;
-  point.full_rerank_round_nanos = 1e18;
-
-  for (int rep = 0; rep < kRepetitions; ++rep) {
-    PriorityEngine engine(spec);
-    engine.Reset(std::vector<int64_t>(kSweepObservables, 0));
-    for (int round = 0; round < kWarmupRounds; ++round) {
-      RunIncrementalRound(engine);
-    }
-    Stopwatch timer;
-    for (int round = 0; round < kTimedRounds; ++round) {
-      RunIncrementalRound(engine);
-    }
-    double nanos = static_cast<double>(timer.ElapsedNanos()) / kTimedRounds;
-    if (nanos < point.incremental_round_nanos) {
-      point.incremental_round_nanos = nanos;
+// Steady-state incremental per-round cost of each spec: a fresh engine per
+// timed batch, warmed up, then kTimedRounds timed rounds.
+std::vector<double> IncrementalRoundNanos(const std::vector<EngineSpec>& specs) {
+  std::vector<double> best(specs.size(), 1e18);
+  for (int batch = 0; batch < kBatches; ++batch) {
+    for (size_t i = 0; i < specs.size(); ++i) {
+      const size_t point = (i + static_cast<size_t>(batch)) % specs.size();
+      PriorityEngine engine(specs[point]);
+      engine.Reset(std::vector<int64_t>(kSweepObservables, 0));
+      for (int round = 0; round < kWarmupRounds; ++round) {
+        RunIncrementalRound(engine);
+      }
+      Stopwatch timer;
+      for (int round = 0; round < kTimedRounds; ++round) {
+        RunIncrementalRound(engine);
+      }
+      best[point] = std::min(best[point],
+                             static_cast<double>(timer.ElapsedNanos()) / kTimedRounds);
     }
   }
+  return best;
+}
 
-  // The reference cost: what a from-scratch re-rank pays per round to reach
-  // the same ranking — a recompute over every candidate and observable.
+// The reference cost: what a from-scratch re-rank pays per round to reach
+// the same ranking — a recompute over every candidate and observable.
+double FullRerankRoundNanos(const EngineSpec& spec) {
+  double best = 1e18;
   for (int rep = 0; rep < kRepetitions; ++rep) {
     PriorityEngine engine(spec);
     std::vector<int64_t> priorities(kSweepObservables, 0);
@@ -194,12 +203,9 @@ SweepPoint MeasurePoint(size_t candidates) {
       }
       engine.Reset(priorities);
     }
-    double nanos = static_cast<double>(timer.ElapsedNanos()) / kResetRounds;
-    if (nanos < point.full_rerank_round_nanos) {
-      point.full_rerank_round_nanos = nanos;
-    }
+    best = std::min(best, static_cast<double>(timer.ElapsedNanos()) / kResetRounds);
   }
-  return point;
+  return best;
 }
 
 int Main() {
@@ -228,9 +234,17 @@ int Main() {
 
   std::printf("\nEngine sweep: steady-state per-round ranking cost vs candidate count\n");
   PrintRow({"candidates", "incremental", "full-rerank", "speedup"}, {14, 14, 14, 10});
-  std::vector<SweepPoint> sweep;
+  std::vector<EngineSpec> specs;
   for (size_t candidates : {1'000u, 10'000u, 100'000u}) {
-    SweepPoint point = MeasurePoint(candidates);
+    specs.push_back(PointSpec(candidates));
+  }
+  const std::vector<double> incremental_nanos = IncrementalRoundNanos(specs);
+  std::vector<SweepPoint> sweep;
+  for (size_t i = 0; i < specs.size(); ++i) {
+    SweepPoint point;
+    point.candidates = specs[i].rows.size();
+    point.incremental_round_nanos = incremental_nanos[i];
+    point.full_rerank_round_nanos = FullRerankRoundNanos(specs[i]);
     char incremental[32], rerank[32], speedup[32];
     std::snprintf(incremental, sizeof(incremental), "%.0f ns", point.incremental_round_nanos);
     std::snprintf(rerank, sizeof(rerank), "%.0f ns", point.full_rerank_round_nanos);

@@ -122,7 +122,7 @@ int main() {
   }
   std::printf("failure reproduced in %d round(s)\n", result.rounds);
   std::printf("reproduction script: %s\n", result.script->ToText(program).c_str());
-  std::printf("replay check: %s\n",
-              explorer::Explorer::Replay(spec, *result.script) ? "deterministic" : "FLAKY");
-  return 0;
+  const bool deterministic = explorer::Explorer::Replay(spec, *result.script);
+  std::printf("replay check: %s\n", deterministic ? "deterministic" : "FLAKY");
+  return deterministic ? 0 : 1;
 }

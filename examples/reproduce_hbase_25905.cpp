@@ -61,7 +61,7 @@ int main() {
   std::printf("Ground truth was: %s at occurrence %lld\n",
               built.program->fault_site(built.ground_truth.site).name.c_str(),
               static_cast<long long>(built.ground_truth.occurrence));
-  std::printf("Deterministic replay: %s\n",
-              explorer::Explorer::Replay(built.spec, *result.script) ? "ok" : "FLAKY");
-  return 0;
+  const bool deterministic = explorer::Explorer::Replay(built.spec, *result.script);
+  std::printf("Deterministic replay: %s\n", deterministic ? "ok" : "FLAKY");
+  return deterministic ? 0 : 1;
 }

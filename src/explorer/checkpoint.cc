@@ -2,9 +2,8 @@
 
 #include <cinttypes>
 #include <cstdio>
-#include <fstream>
-#include <sstream>
 
+#include "src/util/file.h"
 #include "src/util/hash.h"
 #include "src/util/json.h"
 #include "src/util/strings.h"
@@ -124,6 +123,7 @@ std::string SerializeCheckpoint(const SearchCheckpoint& checkpoint) {
   root.Set("pinned", std::move(pinned));
 
   JsonValue strategy = JsonValue::Object();
+  strategy.Set("name", JsonValue::Str(checkpoint.strategy_name));
   strategy.Set("window_size", JsonValue::Int(checkpoint.strategy.window_size));
   strategy.Set("exhausted", JsonValue::Bool(checkpoint.strategy.exhausted));
   JsonValue priorities = JsonValue::Array();
@@ -282,6 +282,12 @@ bool ParseCheckpoint(const std::string& text, SearchCheckpoint* out, std::string
     *error = "checkpoint has no strategy object";
     return false;
   }
+  const JsonValue* strategy_name = strategy->Find("name");
+  if (strategy_name == nullptr || strategy_name->type() != JsonValue::Type::kString) {
+    *error = "checkpoint strategy has no name (required since version 6)";
+    return false;
+  }
+  out->strategy_name = strategy_name->as_string();
   out->strategy.window_size =
       strategy->Find("window_size") ? static_cast<int>(strategy->Find("window_size")->as_int())
                                     : 0;
@@ -407,31 +413,16 @@ bool ParseCheckpoint(const std::string& text, SearchCheckpoint* out, std::string
 }
 
 bool SaveCheckpointFile(const std::string& path, const SearchCheckpoint& checkpoint) {
-  // Write to a temp file and rename so a kill mid-write never leaves a
-  // truncated checkpoint behind.
-  std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::trunc | std::ios::binary);
-    if (!out) {
-      return false;
-    }
-    out << SerializeCheckpoint(checkpoint);
-    if (!out.flush()) {
-      return false;
-    }
-  }
-  return std::rename(tmp.c_str(), path.c_str()) == 0;
+  return WriteFileAtomic(path, SerializeCheckpoint(checkpoint));
 }
 
 bool LoadCheckpointFile(const std::string& path, SearchCheckpoint* out, std::string* error) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
+  std::string text;
+  if (!ReadFileToString(path, &text)) {
     *error = "cannot open checkpoint file " + path;
     return false;
   }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return ParseCheckpoint(buffer.str(), out, error);
+  return ParseCheckpoint(text, out, error);
 }
 
 }  // namespace anduril::explorer

@@ -7,7 +7,7 @@
 // The format is JSON with a version field:
 //
 //   {
-//     "version": 5,
+//     "version": 6,
 //     "program_fingerprint": "<hex>",   // guards against program drift
 //     "base_seed": "<u64 as string>",   // strings: no 2^53 precision loss
 //     "rounds_completed": N,
@@ -21,6 +21,7 @@
 //     },
 //     "pinned": [ {site, occurrence, type, kind}, ... ],
 //     "strategy": {
+//       "name": "full",                 // v6: MakeStrategy name that wrote it
 //       "window_size": k, "exhausted": bool,
 //       "observable_priorities": [ ... ],   // context observable order
 //       "tried": [ {site, occurrence, type, kind}, ... ],
@@ -63,7 +64,9 @@
 // resuming over a differently-built candidate space would break the
 // byte-identical-resume invariant silently. v5 dropped the engine block's
 // "kind" (v4 named which of two stage-1 rankers wrote the file; one ranker
-// remains). Old versions —
+// remains). v6 added the strategy name: resuming under another strategy
+// (say full-sum over a full checkpoint, whose state has the same shape)
+// would silently continue a different search. Old versions —
 // including a version-2 file that smuggles a chain block — are rejected with
 // an actionable error rather than silently resumed into a different search
 // space.
@@ -81,7 +84,7 @@
 
 namespace anduril::explorer {
 
-inline constexpr int kCheckpointVersion = 5;
+inline constexpr int kCheckpointVersion = 6;
 
 // One accepted step of a fault chain: the checkpoint's chain block and
 // ChainResult hold the same record. `seed` is the seed of the run that
@@ -144,6 +147,8 @@ struct SearchCheckpoint {
   int64_t network_delay_ms = 0;
   ExperimentRecord experiment;
   std::vector<interp::InjectionCandidate> pinned;
+  // v6: InjectionStrategy::name() of the strategy whose state this is.
+  std::string strategy_name;
   StrategyCheckpoint strategy;
   // v3: chain search state (empty for plain searches) and its integrity
   // hash. SerializeCheckpoint always recomputes the hash from `chain`;

@@ -197,6 +197,32 @@ void CountOutcome(ExperimentRecord* record, interp::RunOutcome outcome) {
   }
 }
 
+std::string CandidatesText(const std::vector<interp::InjectionCandidate>& candidates) {
+  std::string text = "[";
+  for (const interp::InjectionCandidate& candidate : candidates) {
+    text += StrFormat("%s%s site %d occurrence %lld", text.size() > 1 ? ", " : "",
+                      interp::FaultKindName(candidate.kind), candidate.site,
+                      static_cast<long long>(candidate.occurrence));
+  }
+  return text + "]";
+}
+
+std::string ChainStateText(const ChainState& chain) {
+  std::vector<interp::InjectionCandidate> steps;
+  for (const FaultChainStep& step : chain.steps) {
+    steps.push_back(step.candidate);
+  }
+  return StrFormat("phase %d with steps %s, %d earlier rounds, %zu stitched sites and %zu "
+                   "round candidates",
+                   chain.phase, CandidatesText(steps).c_str(), chain.rounds_before_phase,
+                   chain.stitched_sites.size(), chain.round_candidates.size());
+}
+
+std::string Mismatch(const char* field, const std::string& saved, const std::string& live) {
+  return StrFormat("checkpoint %s is %s, this search has %s", field, saved.c_str(),
+                   live.c_str());
+}
+
 }  // namespace
 
 std::string ReproductionScript::ToText(const ir::Program& program) const {
@@ -228,6 +254,81 @@ Explorer::Explorer(const ExperimentSpec& spec, const ExplorerOptions& options,
   }
 }
 
+std::string Explorer::ResumeError(const SearchCheckpoint& snap, InjectionStrategy* strategy,
+                                  const CheckpointConfig& checkpoint) const {
+  using std::to_string;
+  auto flag = [](bool value) { return std::string(value ? "true" : "false"); };
+  if (snap.version != kCheckpointVersion) {
+    return Mismatch("version", to_string(snap.version), to_string(kCheckpointVersion));
+  }
+  const uint64_t fingerprint = ProgramFingerprint(*spec_->program);
+  if (snap.program_fingerprint != fingerprint) {
+    return Mismatch("program_fingerprint", to_string(snap.program_fingerprint),
+                    to_string(fingerprint)) +
+           " (the checkpoint was written for another case or build)";
+  }
+  if (snap.base_seed != spec_->base_seed) {
+    return Mismatch("base_seed", to_string(snap.base_seed), to_string(spec_->base_seed));
+  }
+  if (snap.pinned != spec_->pinned_faults) {
+    return Mismatch("pinned faults", CandidatesText(snap.pinned),
+                    CandidatesText(spec_->pinned_faults));
+  }
+  // A network-config mismatch changes the candidate space or message timing
+  // — resuming would diverge from the uninterrupted search.
+  if (snap.network_candidates != options_.network_candidates) {
+    return Mismatch("network.candidates", flag(snap.network_candidates),
+                    flag(options_.network_candidates));
+  }
+  if (snap.partition_heal_ms != spec_->cluster->partition_heal_ms) {
+    return Mismatch("network.partition_heal_ms", to_string(snap.partition_heal_ms),
+                    to_string(spec_->cluster->partition_heal_ms));
+  }
+  if (snap.network_delay_ms != spec_->cluster->network_delay_ms) {
+    return Mismatch("network.network_delay_ms", to_string(snap.network_delay_ms),
+                    to_string(spec_->cluster->network_delay_ms));
+  }
+  // The candidate space the stage-1 engine ranked: a candidate/observable
+  // count drift means the context was built differently (the fingerprint
+  // only guards the program shape).
+  if (snap.engine_candidates != static_cast<int64_t>(context_->candidates().size())) {
+    return Mismatch("engine.candidates", to_string(snap.engine_candidates),
+                    to_string(context_->candidates().size()));
+  }
+  if (snap.engine_observables != static_cast<int64_t>(context_->observables().size())) {
+    return Mismatch("engine.observables", to_string(snap.engine_observables),
+                    to_string(context_->observables().size()));
+  }
+  if (snap.strategy_name != strategy->name()) {
+    return Mismatch("strategy.name", "'" + snap.strategy_name + "'",
+                    "'" + strategy->name() + "'");
+  }
+  // A chain checkpoint only resumes under the ChainExplorer that supplies
+  // the matching chain prefix; a plain search resuming one would silently
+  // drop the accepted chain steps.
+  const ChainState empty_chain;
+  const ChainState& chain = checkpoint.chain != nullptr ? *checkpoint.chain : empty_chain;
+  if (snap.chain != chain) {
+    return Mismatch("chain", ChainStateText(snap.chain), ChainStateText(chain));
+  }
+  if (checkpoint.chain != nullptr &&
+      snap.chain.steps.size() >= static_cast<size_t>(checkpoint.max_chain_length)) {
+    return StrFormat(
+        "checkpoint chain has %zu accepted steps, this search's max_chain_length %d "
+        "leaves no phase to resume",
+        snap.chain.steps.size(), checkpoint.max_chain_length);
+  }
+  strategy->Initialize(*context_);
+  if (!strategy->RestoreState(snap.strategy)) {
+    return StrFormat(
+        "checkpoint strategy state (%zu observable priorities) does not restore into "
+        "strategy '%s' over this context's %zu observables",
+        snap.strategy.observable_priorities.size(), strategy->name().c_str(),
+        context_->observables().size());
+  }
+  return "";
+}
+
 ExploreResult Explorer::Explore(InjectionStrategy* strategy, const CheckpointConfig& checkpoint) {
   Stopwatch total_timer;
   ExploreResult result;
@@ -242,8 +343,6 @@ ExploreResult Explorer::Explore(InjectionStrategy* strategy, const CheckpointCon
   const int64_t phase_base =
       checkpoint.chain != nullptr ? checkpoint.chain->phase * obs::kPhaseStride : 0;
 
-  strategy->Initialize(*context_);
-
   // Backoff for transient (wall-budget-killed) rounds. Its jitter RNG is
   // seeded off base_seed so the delay *stream* is deterministic; checkpoints
   // record the draw count so a resumed search continues the same stream.
@@ -256,36 +355,8 @@ ExploreResult Explorer::Explore(InjectionStrategy* strategy, const CheckpointCon
   int first_round = 1;
   if (checkpoint.resume != nullptr) {
     const SearchCheckpoint& snap = *checkpoint.resume;
-    ANDURIL_CHECK(snap.version == kCheckpointVersion);
-    ANDURIL_CHECK(snap.program_fingerprint == ProgramFingerprint(*spec_->program));
-    ANDURIL_CHECK(snap.base_seed == spec_->base_seed);
-    ANDURIL_CHECK(snap.pinned == spec_->pinned_faults);
-    // A network-config mismatch changes the candidate space or message
-    // timing — resuming would diverge from the uninterrupted search.
-    ANDURIL_CHECK(snap.network_candidates == options_.network_candidates);
-    ANDURIL_CHECK(snap.partition_heal_ms == spec_->cluster->partition_heal_ms);
-    ANDURIL_CHECK(snap.network_delay_ms == spec_->cluster->network_delay_ms);
-    // The candidate space the stage-1 engine ranked: a candidate/observable
-    // count drift means the context was built differently (the fingerprint
-    // only guards the program shape).
-    ANDURIL_CHECK(snap.engine_candidates == static_cast<int64_t>(context_->candidates().size()))
-        << "checkpoint ranked " << snap.engine_candidates << " candidates, this context has "
-        << context_->candidates().size();
-    ANDURIL_CHECK(snap.engine_observables == static_cast<int64_t>(context_->observables().size()))
-        << "checkpoint ranked " << snap.engine_observables << " observables, this context has "
-        << context_->observables().size();
-    // A chain checkpoint only resumes under the ChainExplorer that supplies
-    // the matching chain prefix; a plain search resuming one would silently
-    // drop the accepted chain steps.
-    {
-      const ChainState empty_chain;
-      const ChainState& expected =
-          checkpoint.chain != nullptr ? *checkpoint.chain : empty_chain;
-      ANDURIL_CHECK(snap.chain == expected)
-          << "checkpoint chain state does not match this search (chain checkpoints "
-             "resume only under ChainExplorer with the same chain prefix)";
-    }
-    ANDURIL_CHECK(strategy->RestoreState(snap.strategy));
+    const std::string error = ResumeError(snap, strategy, checkpoint);
+    ANDURIL_CHECK(error.empty()) << error;
     retry_backoff.FastForward(snap.retry_rng_draws);
     result.experiment = snap.experiment;
     result.rounds = snap.rounds_completed;
@@ -297,6 +368,8 @@ ExploreResult Explorer::Explore(InjectionStrategy* strategy, const CheckpointCon
     if (snap.has_metrics && metrics != nullptr) {
       metrics->Restore(snap.metrics);
     }
+  } else {
+    strategy->Initialize(*context_);
   }
 
   std::optional<ThreadPool> pool_storage;
@@ -581,6 +654,7 @@ ExploreResult Explorer::Explore(InjectionStrategy* strategy, const CheckpointCon
       snap.experiment = result.experiment;
       snap.pinned = spec_->pinned_faults;
       ANDURIL_CHECK(strategy->SaveState(&snap.strategy));
+      snap.strategy_name = strategy->name();
       if (checkpoint.chain != nullptr) {
         snap.chain = *checkpoint.chain;
         // Persist the live phase's injected-round summaries so a mid-chain

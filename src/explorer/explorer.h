@@ -100,6 +100,9 @@ struct CheckpointConfig {
   // empty chain is written, phase 0 is traced) and refuse to resume
   // chain-bearing checkpoints.
   const ChainState* chain = nullptr;
+  // With `chain`: the chain search's step cap. A resumed checkpoint must
+  // leave at least one phase to run.
+  int max_chain_length = 0;
 };
 
 class Explorer {
@@ -121,6 +124,17 @@ class Explorer {
   // strategy that implements SaveState (the feedback family does; the list
   // baselines do not).
   ExploreResult Explore(InjectionStrategy* strategy, const CheckpointConfig& checkpoint = {});
+
+  // Every precondition for resuming `snap` with `strategy` under
+  // `checkpoint`: the version, program fingerprint, base seed, pinned faults,
+  // network configuration, engine counts, strategy name, chain state and
+  // chain length must match this search, and the strategy state must
+  // restore. Returns "" when they all hold — leaving `strategy` initialized
+  // over this context and restored — otherwise the first failing one, naming
+  // the field and both values. Explore CHECKs it; a CLI calls it first to
+  // report a mismatched file instead of aborting.
+  std::string ResumeError(const SearchCheckpoint& snap, InjectionStrategy* strategy,
+                          const CheckpointConfig& checkpoint) const;
 
   const ExplorerContext& context() const { return *context_; }
   // Handle for sharing the analysis with another Explorer.

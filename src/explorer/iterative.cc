@@ -101,6 +101,26 @@ Explorer ChainExplorer::PhaseExplorer(const ExperimentSpec& phase_spec,
   return Explorer(phase_spec, options, *shared);
 }
 
+std::string ChainExplorer::ResumeError(const SearchCheckpoint& snap,
+                                       int max_chain_length) const {
+  ExperimentSpec phase_spec = spec_;
+  for (const FaultChainStep& step : snap.chain.steps) {
+    phase_spec.pinned_faults.push_back(step.candidate);
+  }
+  // A probe: nothing it builds may reach the caller's sinks.
+  ExplorerOptions options = options_;
+  options.tracer = nullptr;
+  options.metrics = nullptr;
+  std::shared_ptr<const ExplorerContext> shared;
+  Explorer explorer = PhaseExplorer(phase_spec, options, &shared);
+  auto strategy = MakeFullFeedbackStrategy();
+  strategy->SeedStitchedSites(snap.chain.stitched_sites);
+  CheckpointConfig config;
+  config.chain = &snap.chain;
+  config.max_chain_length = max_chain_length;
+  return explorer.ResumeError(snap, strategy.get(), config);
+}
+
 ChainResult ChainExplorer::Explore(int max_chain_length, const CheckpointConfig& checkpoint) {
   ANDURIL_CHECK_GE(max_chain_length, 1);
   ChainResult result;
@@ -114,8 +134,6 @@ ChainResult ChainExplorer::Explore(int max_chain_length, const CheckpointConfig&
   const SearchCheckpoint* resume = checkpoint.resume;
   if (resume != nullptr) {
     chain_state = resume->chain;
-    ANDURIL_CHECK_LE(static_cast<int>(chain_state.steps.size()), max_chain_length)
-        << "checkpoint chain is longer than this search's max_chain_length";
     result.chain.steps = chain_state.steps;
     for (const FaultChainStep& step : chain_state.steps) {
       spec.pinned_faults.push_back(step.candidate);
@@ -124,7 +142,10 @@ ChainResult ChainExplorer::Explore(int max_chain_length, const CheckpointConfig&
     result.total_rounds = chain_state.rounds_before_phase;
   }
 
-  for (int phase = chain_state.phase; phase < max_chain_length; ++phase) {
+  // A resumed phase always reaches the inner explorer, whose resume check
+  // rejects a chain too long for this search.
+  for (int phase = chain_state.phase; phase < max_chain_length || resume != nullptr;
+       ++phase) {
     ++result.phases;
     if (options_.metrics != nullptr) {
       options_.metrics->Add("chain.phases");
@@ -156,6 +177,7 @@ ChainResult ChainExplorer::Explore(int max_chain_length, const CheckpointConfig&
     CheckpointConfig inner;
     inner.path = checkpoint.path;
     inner.chain = &chain_state;
+    inner.max_chain_length = max_chain_length;
     if (resume != nullptr) {
       inner.resume = resume;  // only the phase the kill interrupted
       resume = nullptr;
@@ -180,7 +202,7 @@ ChainResult ChainExplorer::Explore(int max_chain_length, const CheckpointConfig&
       }
       return result;
     }
-    if (phase + 1 == max_chain_length) {
+    if (phase + 1 >= max_chain_length) {
       break;
     }
     // Budget exhausted mid-phase: behave like a kill — return without a

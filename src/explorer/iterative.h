@@ -106,6 +106,10 @@ class ChainExplorer {
   // Searches chains of up to `max_chain_length` steps (>= 1).
   ChainResult Explore(int max_chain_length, const CheckpointConfig& checkpoint = {});
 
+  // Explorer::ResumeError for the phase `snap` interrupted: "" when Explore
+  // can resume from it, otherwise the first failing precondition.
+  std::string ResumeError(const SearchCheckpoint& snap, int max_chain_length) const;
+
   // Replays a full chain reproduction: all but the last step pinned, the
   // last as the window injection at its recorded seed.
   static bool Replay(ExperimentSpec spec, const ChainResult& result);

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
-#include <fstream>
-#include <sstream>
 #include <unordered_set>
 #include <utility>
 
@@ -12,6 +10,7 @@
 #include "src/interp/simulator.h"
 #include "src/logdiff/compare.h"
 #include "src/util/check.h"
+#include "src/util/file.h"
 #include "src/util/hash.h"
 #include "src/util/json.h"
 #include "src/util/strings.h"
@@ -368,29 +367,16 @@ bool ParseSignature(const std::string& text, FaultSignature* out, std::string* e
 }
 
 bool SaveSignatureFile(const std::string& path, const FaultSignature& signature) {
-  std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::trunc | std::ios::binary);
-    if (!out) {
-      return false;
-    }
-    out << SerializeSignature(signature) << "\n";
-    if (!out.flush()) {
-      return false;
-    }
-  }
-  return std::rename(tmp.c_str(), path.c_str()) == 0;
+  return WriteFileAtomic(path, SerializeSignature(signature) + "\n");
 }
 
 bool LoadSignatureFile(const std::string& path, FaultSignature* out, std::string* error) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
+  std::string text;
+  if (!ReadFileToString(path, &text)) {
     *error = "cannot open signature file " + path;
     return false;
   }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return ParseSignature(buffer.str(), out, error);
+  return ParseSignature(text, out, error);
 }
 
 }  // namespace anduril::explorer

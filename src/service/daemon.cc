@@ -306,9 +306,8 @@ class Daemon {
     }
     if (pid == 0) {
       // A worker dies with its daemon. An orphan still mid-slice would keep
-      // writing the case's checkpoint while a successor daemon's worker runs
-      // the same case; both write through one "<path>.tmp", so one rename
-      // fails and that worker aborts. Killed instead, the orphan leaves the
+      // overwriting the case's checkpoint while a successor daemon's worker
+      // runs the same case from it. Killed instead, the orphan leaves the
       // checkpoint as any SIGKILL would, which resume is built for.
       prctl(PR_SET_PDEATHSIG, SIGKILL);
       if (getppid() != daemon) {

@@ -44,6 +44,7 @@ TEST(CheckpointTest, SerializeParseRoundTripIsLossless) {
       interp::InjectionCandidate{5, 1, ir::kInvalidId, interp::FaultKind::kCrash});
   snap.pinned.push_back(
       interp::InjectionCandidate{6, 2, ir::kInvalidId, interp::FaultKind::kPartition});
+  snap.strategy_name = "full-order";
   snap.strategy.window_size = 20;
   snap.strategy.exhausted = false;
   snap.strategy.observable_priorities = {4, 0, -2, 100};
@@ -100,6 +101,7 @@ TEST(CheckpointTest, SerializeParseRoundTripIsLossless) {
   EXPECT_DOUBLE_EQ(parsed.experiment.total_run_wall_seconds,
                    snap.experiment.total_run_wall_seconds);
   EXPECT_EQ(parsed.pinned, snap.pinned);
+  EXPECT_EQ(parsed.strategy_name, snap.strategy_name);
   EXPECT_EQ(parsed.strategy.window_size, snap.strategy.window_size);
   EXPECT_EQ(parsed.strategy.exhausted, snap.strategy.exhausted);
   EXPECT_EQ(parsed.strategy.observable_priorities, snap.strategy.observable_priorities);
@@ -146,7 +148,7 @@ TEST(CheckpointTest, RejectsVersion1FileWithActionableError) {
   std::string error;
   EXPECT_FALSE(ParseCheckpoint(v1_text, &out, &error));
   EXPECT_NE(error.find("version 1"), std::string::npos) << error;
-  EXPECT_NE(error.find("version 5"), std::string::npos) << error;
+  EXPECT_NE(error.find("version 6"), std::string::npos) << error;
   EXPECT_NE(error.find("delete"), std::string::npos)
       << "error must be actionable: " << error;
 }
@@ -173,7 +175,7 @@ TEST(CheckpointTest, RejectsVersion3FileWithActionableError) {
   std::string error;
   EXPECT_FALSE(ParseCheckpoint(v3_text, &out, &error));
   EXPECT_NE(error.find("version 3"), std::string::npos) << error;
-  EXPECT_NE(error.find("version 5"), std::string::npos) << error;
+  EXPECT_NE(error.find("version 6"), std::string::npos) << error;
   EXPECT_NE(error.find("delete"), std::string::npos)
       << "error must be actionable: " << error;
 }
@@ -201,9 +203,49 @@ TEST(CheckpointTest, RejectsVersion4FileWithActionableError) {
   std::string error;
   EXPECT_FALSE(ParseCheckpoint(v4_text, &out, &error));
   EXPECT_NE(error.find("version 4"), std::string::npos) << error;
-  EXPECT_NE(error.find("version 5"), std::string::npos) << error;
+  EXPECT_NE(error.find("version 6"), std::string::npos) << error;
   EXPECT_NE(error.find("delete"), std::string::npos)
       << "error must be actionable: " << error;
+}
+
+TEST(CheckpointTest, RejectsVersion5FileWithActionableError) {
+  // A schema-v5 checkpoint: no strategy name, so nothing stops it from
+  // resuming under a different strategy. Refused with both versions named.
+  const char* v5_text = R"({
+    "version": 5,
+    "program_fingerprint": "12345",
+    "base_seed": "1",
+    "rounds_completed": 7,
+    "retry_rng_draws": "0",
+    "experiment": {"completed_rounds": 7},
+    "network": {"candidates": false, "partition_heal_ms": 0, "delay_ms": 0},
+    "pinned": [],
+    "strategy": {"window_size": 10, "exhausted": false,
+                 "observable_priorities": [], "tried": [], "demotions": []},
+    "chain": {"steps": [], "phase": 0, "rounds_before_phase": 0,
+              "stitched_sites": [], "round_candidates": []},
+    "engine": {"candidates": 0, "observables": 0}
+  })";
+  SearchCheckpoint out;
+  std::string error;
+  EXPECT_FALSE(ParseCheckpoint(v5_text, &out, &error));
+  EXPECT_NE(error.find("version 5"), std::string::npos) << error;
+  EXPECT_NE(error.find("version 6"), std::string::npos) << error;
+  EXPECT_NE(error.find("delete"), std::string::npos)
+      << "error must be actionable: " << error;
+}
+
+TEST(CheckpointTest, RejectsFileWithoutStrategyName) {
+  SearchCheckpoint snap;
+  std::string text = SerializeCheckpoint(snap);
+  const std::string key = "\"name\": \"\",";
+  size_t begin = text.find(key);
+  ASSERT_NE(begin, std::string::npos) << text;
+  text.erase(begin, key.size());
+  SearchCheckpoint out;
+  std::string error;
+  EXPECT_FALSE(ParseCheckpoint(text, &out, &error));
+  EXPECT_NE(error.find("no name"), std::string::npos) << error;
 }
 
 TEST(CheckpointTest, RejectsFileWithoutEngineBlock) {
@@ -322,6 +364,148 @@ TEST(CheckpointTest, LoadRejectsDeeplyNestedFile) {
       << error;
   std::remove(path.c_str());
 }
+
+// --- resume preconditions -------------------------------------------------------
+//
+// Explorer::ResumeError names every precondition a checkpoint must meet
+// before a search resumes from it. One case per field: a checkpoint of a
+// three-round hd-4233 search with that one field changed (or, for the chain
+// length, the resuming search's cap) is refused with an error naming the
+// field and both values; the unchanged checkpoint resumes.
+
+struct ResumeField {
+  const char* name;
+  // Breaks the precondition on a copy of the checkpoint or on the resuming
+  // search's checkpoint config.
+  void (*mutate)(SearchCheckpoint* snap, CheckpointConfig* config, ChainState* chain);
+  const char* expected;  // substrings of the error
+  const char* expected_values;
+};
+
+class ResumeErrorTest : public ::testing::TestWithParam<ResumeField> {
+ protected:
+  static void SetUpTestSuite() {
+    const systems::FailureCase* failure_case = systems::FindCase("hd-4233");
+    ASSERT_NE(failure_case, nullptr);
+    built_ = new systems::BuiltCase(systems::BuildCase(*failure_case));
+    options_ = new ExplorerOptions(OptionsForCase(*failure_case, 1));
+    ExplorerOptions truncated = *options_;
+    truncated.max_rounds = 3;
+    const std::string path = TempPath("resume_error_hd4233.json");
+    RunSearch(*built_, truncated, CheckpointConfig{path, nullptr});
+    snap_ = new SearchCheckpoint;
+    std::string error;
+    ASSERT_TRUE(LoadCheckpointFile(path, snap_, &error)) << error;
+    std::remove(path.c_str());
+  }
+  static void TearDownTestSuite() {
+    delete snap_;
+    delete options_;
+    delete built_;
+  }
+
+  static std::string ResumeErrorOf(const SearchCheckpoint& snap,
+                                   const CheckpointConfig& config) {
+    Explorer explorer(built_->spec, *options_);
+    std::unique_ptr<InjectionStrategy> strategy = MakeFullFeedbackStrategy();
+    return explorer.ResumeError(snap, strategy.get(), config);
+  }
+
+  static systems::BuiltCase* built_;
+  static ExplorerOptions* options_;
+  static SearchCheckpoint* snap_;
+};
+
+systems::BuiltCase* ResumeErrorTest::built_ = nullptr;
+ExplorerOptions* ResumeErrorTest::options_ = nullptr;
+SearchCheckpoint* ResumeErrorTest::snap_ = nullptr;
+
+TEST_F(ResumeErrorTest, UnchangedCheckpointResumes) {
+  EXPECT_EQ(ResumeErrorOf(*snap_, CheckpointConfig{}), "");
+}
+
+TEST_P(ResumeErrorTest, MismatchedFieldIsNamedWithBothValues) {
+  SearchCheckpoint snap = *snap_;
+  CheckpointConfig config;
+  ChainState chain;
+  GetParam().mutate(&snap, &config, &chain);
+  const std::string error = ResumeErrorOf(snap, config);
+  EXPECT_NE(error.find(GetParam().expected), std::string::npos) << error;
+  EXPECT_NE(error.find(GetParam().expected_values), std::string::npos) << error;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Fields, ResumeErrorTest,
+    ::testing::Values(
+        ResumeField{"Version",
+                    [](SearchCheckpoint* s, CheckpointConfig*, ChainState*) { s->version = 5; },
+                    "checkpoint version", "is 5, this search has 6"},
+        ResumeField{"ProgramFingerprint",
+                    [](SearchCheckpoint* s, CheckpointConfig*, ChainState*) {
+                      s->program_fingerprint = 12345;
+                    },
+                    "checkpoint program_fingerprint", "is 12345, this search has "},
+        ResumeField{"BaseSeed",
+                    [](SearchCheckpoint* s, CheckpointConfig*, ChainState*) {
+                      s->base_seed = 99;
+                    },
+                    "checkpoint base_seed", "is 99, this search has 1"},
+        ResumeField{"PinnedFaults",
+                    [](SearchCheckpoint* s, CheckpointConfig*, ChainState*) {
+                      s->pinned.push_back(
+                          interp::InjectionCandidate{0, 2, 0, interp::FaultKind::kException});
+                    },
+                    "checkpoint pinned faults",
+                    "is [exception site 0 occurrence 2], this search has []"},
+        ResumeField{"NetworkCandidates",
+                    [](SearchCheckpoint* s, CheckpointConfig*, ChainState*) {
+                      s->network_candidates = true;
+                    },
+                    "checkpoint network.candidates", "is true, this search has false"},
+        ResumeField{"PartitionHealMs",
+                    [](SearchCheckpoint* s, CheckpointConfig*, ChainState*) {
+                      s->partition_heal_ms += 7;
+                    },
+                    "checkpoint network.partition_heal_ms", ", this search has "},
+        ResumeField{"NetworkDelayMs",
+                    [](SearchCheckpoint* s, CheckpointConfig*, ChainState*) {
+                      s->network_delay_ms += 7;
+                    },
+                    "checkpoint network.network_delay_ms", ", this search has "},
+        ResumeField{"EngineCandidates",
+                    [](SearchCheckpoint* s, CheckpointConfig*, ChainState*) {
+                      s->engine_candidates = 100000;
+                    },
+                    "checkpoint engine.candidates", "is 100000, this search has "},
+        ResumeField{"EngineObservables",
+                    [](SearchCheckpoint* s, CheckpointConfig*, ChainState*) {
+                      s->engine_observables = 1000;
+                    },
+                    "checkpoint engine.observables", "is 1000, this search has "},
+        ResumeField{"StrategyName",
+                    [](SearchCheckpoint* s, CheckpointConfig*, ChainState*) {
+                      s->strategy_name = "full-sum";
+                    },
+                    "checkpoint strategy.name", "is 'full-sum', this search has 'full'"},
+        ResumeField{"ChainState",
+                    [](SearchCheckpoint* s, CheckpointConfig*, ChainState*) {
+                      s->chain.phase = 1;
+                    },
+                    "checkpoint chain", "is phase 1 with steps [], 0 earlier rounds"},
+        ResumeField{"ChainLength",
+                    [](SearchCheckpoint* s, CheckpointConfig* config, ChainState* chain) {
+                      *chain = s->chain;
+                      config->chain = chain;
+                      config->max_chain_length = 0;
+                    },
+                    "checkpoint chain has 0 accepted steps",
+                    "max_chain_length 0 leaves no phase"},
+        ResumeField{"StrategyState",
+                    [](SearchCheckpoint* s, CheckpointConfig*, ChainState*) {
+                      s->strategy.observable_priorities.pop_back();
+                    },
+                    "checkpoint strategy state", "does not restore into strategy 'full'"}),
+    [](const ::testing::TestParamInfo<ResumeField>& info) { return info.param.name; });
 
 // --- kill-and-resume invariant --------------------------------------------------
 

@@ -211,6 +211,32 @@ TEST(FaultChainTest, MidChainKillResumeIsByteIdentical) {
                                         phase1_rounds + final_rounds - 1, baseline);
 }
 
+// The CLI's pre-resume check: a mid-chain checkpoint resumes under the same
+// cap, and is refused (not CHECK-aborted) when the cap leaves no phase.
+TEST(FaultChainTest, ResumeErrorChecksTheResumedPhase) {
+  const systems::FailureCase* failure_case = systems::FindCase("casc-retry-1");
+  ASSERT_NE(failure_case, nullptr);
+  systems::BuiltCase built = systems::BuildCase(*failure_case);
+  ExplorerOptions options = OptionsForCase(*failure_case, 1);
+  options.max_rounds = kPhaseRounds;
+  ChainResult baseline = RunChain(built, options);
+  ASSERT_TRUE(baseline.reproduced);
+
+  const std::string path = TempPath("chain_resume_error.json");
+  ExplorerOptions truncated = options;
+  truncated.max_total_rounds = baseline.chain.steps.front().rounds + 1;
+  ASSERT_FALSE(RunChain(built, truncated, 3, CheckpointConfig{path, nullptr}).reproduced);
+  SearchCheckpoint snap;
+  std::string error;
+  ASSERT_TRUE(LoadCheckpointFile(path, &snap, &error)) << error;
+  ASSERT_EQ(snap.chain.steps.size(), 1u);
+  std::remove(path.c_str());
+
+  ChainExplorer chain_explorer(built.spec, options);
+  EXPECT_EQ(chain_explorer.ResumeError(snap, 3), "");
+  EXPECT_NE(chain_explorer.ResumeError(snap, 1).find("max_chain_length 1"), std::string::npos);
+}
+
 // --- golden multi-fault digests ---------------------------------------------------
 //
 // tests/golden/multifault_digests.txt pins every multi-fault search this

@@ -3,6 +3,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <filesystem>
 #include <limits>
 #include <future>
 #include <set>
@@ -12,6 +13,7 @@
 
 #include "src/util/backoff.h"
 #include "src/util/check.h"
+#include "src/util/file.h"
 #include "src/util/json.h"
 #include "src/util/rng.h"
 #include "src/util/stopwatch.h"
@@ -440,6 +442,59 @@ TEST(Json, DeepNestingIsRejectedWithoutExhaustingTheStack) {
   EXPECT_NE(JsonError(std::string(2'000'000, '[')).find("nesting deeper than 64 levels"),
             std::string::npos);
   EXPECT_NE(JsonError(std::string(2'000'000, '{')).find("expected '\"'"), std::string::npos);
+}
+
+// --- files -------------------------------------------------------------------
+
+// Two writers race on one path while a reader polls it. Every write must
+// succeed, the reader must only ever see one writer's complete file, and no
+// temp file may be left behind. A temp name shared by all writers of a path
+// fails all three: one writer truncates the file the other is filling, and
+// renames race each other.
+TEST(File, ConcurrentWriteFileAtomicNeverFailsTearsOrLeaks) {
+  const std::filesystem::path dir =
+      std::filesystem::path(::testing::TempDir()) / "write_file_atomic_race";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::string path = (dir / "state.json").string();
+  constexpr size_t kSize = 64 * 1024;
+  constexpr int kWritesPerWriter = 1000;
+  ASSERT_TRUE(WriteFileAtomic(path, std::string(kSize, 'a')));
+
+  std::atomic<int> failed_writes{0};
+  std::atomic<int> writers_done{0};
+  auto writer = [&](char fill) {
+    const std::string content(kSize, fill);
+    for (int i = 0; i < kWritesPerWriter; ++i) {
+      if (!WriteFileAtomic(path, content)) {
+        ++failed_writes;
+      }
+    }
+    ++writers_done;
+  };
+  int reads = 0;
+  int torn_reads = 0;
+  std::thread first(writer, 'x');
+  std::thread second(writer, 'y');
+  while (writers_done.load() < 2) {
+    std::string text;
+    if (!ReadFileToString(path, &text) || text.size() != kSize ||
+        text.find_first_not_of(text[0]) != std::string::npos) {
+      ++torn_reads;
+    }
+    ++reads;
+  }
+  first.join();
+  second.join();
+
+  EXPECT_EQ(failed_writes.load(), 0);
+  EXPECT_EQ(torn_reads, 0) << "of " << reads << " reads";
+  std::vector<std::string> entries;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    entries.push_back(entry.path().filename().string());
+  }
+  EXPECT_EQ(entries, std::vector<std::string>{"state.json"});
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

@@ -215,6 +215,11 @@ int RunCase(const std::string& id, const std::string& strategy_name, int max_rou
       return 1;
     }
     checkpoint.resume = &resumed;
+    error = ex.ResumeError(resumed, strategy.get(), checkpoint);
+    if (!error.empty()) {
+      std::fprintf(stderr, "cannot resume: %s\n", error.c_str());
+      return 1;
+    }
     std::printf("resuming from round %d (%s)\n", resumed.rounds_completed + 1,
                 checkpoint_path.c_str());
   }
@@ -299,6 +304,7 @@ int ChainCase(const std::string& id, int max_chain_length, int max_rounds,
     options.metrics = &metrics;
   }
 
+  explorer::ChainExplorer ex(built.spec, options);
   explorer::CheckpointConfig checkpoint;
   checkpoint.path = checkpoint_path;
   explorer::SearchCheckpoint resumed;
@@ -313,12 +319,16 @@ int ChainCase(const std::string& id, int max_chain_length, int max_rounds,
       return 1;
     }
     checkpoint.resume = &resumed;
+    error = ex.ResumeError(resumed, max_chain_length);
+    if (!error.empty()) {
+      std::fprintf(stderr, "cannot resume: %s\n", error.c_str());
+      return 1;
+    }
     std::printf("resuming chain search: phase %d, %d steps accepted, round %d (%s)\n",
                 resumed.chain.phase, static_cast<int>(resumed.chain.steps.size()),
                 resumed.rounds_completed + 1, checkpoint_path.c_str());
   }
 
-  explorer::ChainExplorer ex(built.spec, options);
   explorer::ChainResult result = ex.Explore(max_chain_length, checkpoint);
   if (!trace_path.empty()) {
     const bool jsonl = trace_path.size() >= 6 &&
