@@ -270,6 +270,15 @@ std::string Explorer::ResumeError(const SearchCheckpoint& snap, InjectionStrateg
   if (snap.base_seed != spec_->base_seed) {
     return Mismatch("base_seed", to_string(snap.base_seed), to_string(spec_->base_seed));
   }
+  // A chain checkpoint only resumes under the ChainExplorer that supplies
+  // the matching chain prefix; a plain search resuming one would silently
+  // drop the accepted chain steps. Checked before the pinned faults, which
+  // hold the chain prefix, so the error names the chain.
+  const ChainState empty_chain;
+  const ChainState& chain = checkpoint.chain != nullptr ? *checkpoint.chain : empty_chain;
+  if (snap.chain != chain) {
+    return Mismatch("chain", ChainStateText(snap.chain), ChainStateText(chain));
+  }
   if (snap.pinned != spec_->pinned_faults) {
     return Mismatch("pinned faults", CandidatesText(snap.pinned),
                     CandidatesText(spec_->pinned_faults));
@@ -302,14 +311,6 @@ std::string Explorer::ResumeError(const SearchCheckpoint& snap, InjectionStrateg
   if (snap.strategy_name != strategy->name()) {
     return Mismatch("strategy.name", "'" + snap.strategy_name + "'",
                     "'" + strategy->name() + "'");
-  }
-  // A chain checkpoint only resumes under the ChainExplorer that supplies
-  // the matching chain prefix; a plain search resuming one would silently
-  // drop the accepted chain steps.
-  const ChainState empty_chain;
-  const ChainState& chain = checkpoint.chain != nullptr ? *checkpoint.chain : empty_chain;
-  if (snap.chain != chain) {
-    return Mismatch("chain", ChainStateText(snap.chain), ChainStateText(chain));
   }
   if (checkpoint.chain != nullptr &&
       snap.chain.steps.size() >= static_cast<size_t>(checkpoint.max_chain_length)) {

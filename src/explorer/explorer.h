@@ -126,8 +126,8 @@ class Explorer {
   ExploreResult Explore(InjectionStrategy* strategy, const CheckpointConfig& checkpoint = {});
 
   // Every precondition for resuming `snap` with `strategy` under
-  // `checkpoint`: the version, program fingerprint, base seed, pinned faults,
-  // network configuration, engine counts, strategy name, chain state and
+  // `checkpoint`: the version, program fingerprint, base seed, chain state,
+  // pinned faults, network configuration, engine counts, strategy name and
   // chain length must match this search, and the strategy state must
   // restore. Returns "" when they all hold — leaving `strategy` initialized
   // over this context and restored — otherwise the first failing one, naming

@@ -235,6 +235,15 @@ TEST(FaultChainTest, ResumeErrorChecksTheResumedPhase) {
   ChainExplorer chain_explorer(built.spec, options);
   EXPECT_EQ(chain_explorer.ResumeError(snap, 3), "");
   EXPECT_NE(chain_explorer.ResumeError(snap, 1).find("max_chain_length 1"), std::string::npos);
+
+  // A plain search is told the file is a chain checkpoint, not that its
+  // pinned faults (the chain prefix) differ.
+  Explorer plain(built.spec, options);
+  std::unique_ptr<InjectionStrategy> strategy = MakeFullFeedbackStrategy();
+  const std::string plain_error = plain.ResumeError(snap, strategy.get(), CheckpointConfig{});
+  EXPECT_NE(plain_error.find("checkpoint chain is phase 1 with steps [exception site"),
+            std::string::npos)
+      << plain_error;
 }
 
 // --- golden multi-fault digests ---------------------------------------------------
