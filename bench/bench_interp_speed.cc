@@ -119,7 +119,6 @@ CaseResult BenchCase(const Recorded& recorded, const std::vector<uint32_t>& tabl
   ir::FlatProgram flat(*built.program);
   interp::RunScratch scratch;
   interp::FaultRuntime runtime(built.program.get());
-  runtime.set_tracing(true);
 
   CaseResult result;
   result.id = recorded.case_id;

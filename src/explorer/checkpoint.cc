@@ -1,8 +1,5 @@
 #include "src/explorer/checkpoint.h"
 
-#include <cinttypes>
-#include <cstdio>
-
 #include "src/util/file.h"
 #include "src/util/hash.h"
 #include "src/util/json.h"
@@ -10,22 +7,6 @@
 
 namespace anduril::explorer {
 namespace {
-
-std::string U64ToString(uint64_t value) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%" PRIu64, value);
-  return buf;
-}
-
-uint64_t U64FromJson(const JsonValue* value) {
-  if (value == nullptr) {
-    return 0;
-  }
-  if (value->type() == JsonValue::Type::kString) {
-    return std::strtoull(value->as_string().c_str(), nullptr, 10);
-  }
-  return static_cast<uint64_t>(value->as_int());
-}
 
 JsonValue CandidateToJson(const interp::InjectionCandidate& candidate) {
   JsonValue object = JsonValue::Object();
@@ -36,24 +17,24 @@ JsonValue CandidateToJson(const interp::InjectionCandidate& candidate) {
   return object;
 }
 
-bool CandidateFromJson(const JsonValue& value, interp::InjectionCandidate* out,
-                       std::string* error) {
-  if (value.type() != JsonValue::Type::kObject) {
-    *error = "candidate is not an object";
-    return false;
+interp::InjectionCandidate ReadCandidate(JsonReader in) {
+  interp::InjectionCandidate out;
+  out.site = in.Int("site");
+  out.occurrence = in.Int64("occurrence");
+  out.type = in.Int("type");
+  const std::string kind = in.Str("kind");
+  if (in.ok() && !interp::FaultKindFromName(kind, &out.kind)) {
+    in.Fail("unknown fault kind \"" + kind + "\"");
   }
-  out->site = static_cast<ir::FaultSiteId>(
-      value.Find("site") ? value.Find("site")->as_int(ir::kInvalidId) : ir::kInvalidId);
-  out->occurrence = value.Find("occurrence") ? value.Find("occurrence")->as_int() : 0;
-  out->type = static_cast<ir::ExceptionTypeId>(
-      value.Find("type") ? value.Find("type")->as_int(ir::kInvalidId) : ir::kInvalidId);
-  const std::string& kind =
-      value.Find("kind") ? value.Find("kind")->as_string() : std::string("exception");
-  if (!interp::FaultKindFromName(kind, &out->kind)) {
-    *error = "unknown fault kind \"" + kind + "\"";
-    return false;
+  return out;
+}
+
+std::vector<interp::InjectionCandidate> ReadCandidates(JsonReader list) {
+  std::vector<interp::InjectionCandidate> out;
+  for (size_t i = 0; i < list.size(); ++i) {
+    out.push_back(ReadCandidate(list.Object(i)));
   }
-  return true;
+  return out;
 }
 
 }  // namespace
@@ -90,10 +71,10 @@ uint64_t ProgramFingerprint(const ir::Program& program) {
 std::string SerializeCheckpoint(const SearchCheckpoint& checkpoint) {
   JsonValue root = JsonValue::Object();
   root.Set("version", JsonValue::Int(checkpoint.version));
-  root.Set("program_fingerprint", JsonValue::Str(U64ToString(checkpoint.program_fingerprint)));
-  root.Set("base_seed", JsonValue::Str(U64ToString(checkpoint.base_seed)));
+  root.Set("program_fingerprint", JsonValue::U64(checkpoint.program_fingerprint));
+  root.Set("base_seed", JsonValue::U64(checkpoint.base_seed));
   root.Set("rounds_completed", JsonValue::Int(checkpoint.rounds_completed));
-  root.Set("retry_rng_draws", JsonValue::Str(U64ToString(checkpoint.retry_rng_draws)));
+  root.Set("retry_rng_draws", JsonValue::U64(checkpoint.retry_rng_draws));
 
   JsonValue network = JsonValue::Object();
   network.Set("candidates", JsonValue::Bool(checkpoint.network_candidates));
@@ -151,7 +132,7 @@ std::string SerializeCheckpoint(const SearchCheckpoint& checkpoint) {
   for (const FaultChainStep& step : checkpoint.chain.steps) {
     JsonValue entry = JsonValue::Object();
     entry.Set("candidate", CandidateToJson(step.candidate));
-    entry.Set("seed", JsonValue::Str(U64ToString(step.seed)));
+    entry.Set("seed", JsonValue::U64(step.seed));
     entry.Set("rounds", JsonValue::Int(step.rounds));
     JsonValue observables = JsonValue::Array();
     for (const std::string& key : step.stitched_observables) {
@@ -180,8 +161,7 @@ std::string SerializeCheckpoint(const SearchCheckpoint& checkpoint) {
   root.Set("chain", std::move(chain));
   // Always recomputed from the chain block — the struct field is only the
   // parsed-and-verified copy.
-  root.Set("chain_signature_hash",
-           JsonValue::Str(U64ToString(ChainSignatureHash(checkpoint.chain))));
+  root.Set("chain_signature_hash", JsonValue::U64(ChainSignatureHash(checkpoint.chain)));
 
   JsonValue engine = JsonValue::Object();
   engine.Set("candidates", JsonValue::Int(checkpoint.engine_candidates));
@@ -229,186 +209,98 @@ bool ParseCheckpoint(const std::string& text, SearchCheckpoint* out, std::string
         static_cast<long long>(version->as_int()), kCheckpointVersion);
     return false;
   }
-  out->version = static_cast<int>(version->as_int());
-  out->program_fingerprint = U64FromJson(root.Find("program_fingerprint"));
-  out->base_seed = U64FromJson(root.Find("base_seed"));
-  out->rounds_completed =
-      root.Find("rounds_completed") ? static_cast<int>(root.Find("rounds_completed")->as_int())
-                                    : 0;
-  out->retry_rng_draws = U64FromJson(root.Find("retry_rng_draws"));
+  JsonReader in(root, "checkpoint", error);
+  SearchCheckpoint checkpoint;
+  checkpoint.program_fingerprint = in.U64("program_fingerprint");
+  checkpoint.base_seed = in.U64("base_seed");
+  checkpoint.rounds_completed = in.Int("rounds_completed");
+  checkpoint.retry_rng_draws = in.U64("retry_rng_draws");
 
-  const JsonValue* network = root.Find("network");
-  if (network == nullptr || network->type() != JsonValue::Type::kObject) {
-    *error = "checkpoint has no network object (required since version 2)";
-    return false;
+  JsonReader network = in.Object("network");
+  checkpoint.network_candidates = network.Bool("candidates");
+  checkpoint.partition_heal_ms = network.Int64("partition_heal_ms");
+  checkpoint.network_delay_ms = network.Int64("network_delay_ms");
+
+  JsonReader experiment = in.Object("experiment");
+  ExperimentRecord& record = checkpoint.experiment;
+  record.completed_rounds = experiment.Int("completed_rounds");
+  record.crashed_rounds = experiment.Int("crashed_rounds");
+  record.hung_rounds = experiment.Int("hung_rounds");
+  record.budget_exceeded_rounds = experiment.Int("budget_exceeded_rounds");
+  record.partitioned_stuck_rounds = experiment.Int("partitioned_stuck_rounds");
+  record.transient_retries = experiment.Int("transient_retries");
+  record.total_run_wall_seconds = experiment.Double("total_run_wall_seconds");
+  record.max_round_wall_seconds = experiment.Double("max_round_wall_seconds");
+
+  checkpoint.pinned = ReadCandidates(in.Array("pinned"));
+
+  JsonReader strategy = in.Object("strategy");
+  checkpoint.strategy_name = strategy.Str("name");
+  checkpoint.strategy.window_size = strategy.Int("window_size");
+  checkpoint.strategy.exhausted = strategy.Bool("exhausted");
+  JsonReader priorities = strategy.Array("observable_priorities");
+  for (size_t i = 0; i < priorities.size(); ++i) {
+    checkpoint.strategy.observable_priorities.push_back(priorities.Int64(i));
   }
-  out->network_candidates =
-      network->Find("candidates") != nullptr && network->Find("candidates")->as_bool();
-  out->partition_heal_ms =
-      network->Find("partition_heal_ms") ? network->Find("partition_heal_ms")->as_int() : 0;
-  out->network_delay_ms =
-      network->Find("network_delay_ms") ? network->Find("network_delay_ms")->as_int() : 0;
-
-  if (const JsonValue* experiment = root.Find("experiment"); experiment != nullptr) {
-    auto get_int = [&](const char* key) {
-      const JsonValue* value = experiment->Find(key);
-      return value ? static_cast<int>(value->as_int()) : 0;
-    };
-    out->experiment.completed_rounds = get_int("completed_rounds");
-    out->experiment.crashed_rounds = get_int("crashed_rounds");
-    out->experiment.hung_rounds = get_int("hung_rounds");
-    out->experiment.budget_exceeded_rounds = get_int("budget_exceeded_rounds");
-    out->experiment.partitioned_stuck_rounds = get_int("partitioned_stuck_rounds");
-    out->experiment.transient_retries = get_int("transient_retries");
-    const JsonValue* total = experiment->Find("total_run_wall_seconds");
-    out->experiment.total_run_wall_seconds = total ? total->as_double() : 0;
-    const JsonValue* max_round = experiment->Find("max_round_wall_seconds");
-    out->experiment.max_round_wall_seconds = max_round ? max_round->as_double() : 0;
-  }
-
-  out->pinned.clear();
-  if (const JsonValue* pinned = root.Find("pinned"); pinned != nullptr) {
-    for (const JsonValue& entry : pinned->items()) {
-      interp::InjectionCandidate candidate;
-      if (!CandidateFromJson(entry, &candidate, error)) {
-        return false;
-      }
-      out->pinned.push_back(candidate);
-    }
+  checkpoint.strategy.tried = ReadCandidates(strategy.Array("tried"));
+  JsonReader demotions = strategy.Array("demotions");
+  for (size_t i = 0; i < demotions.size(); ++i) {
+    JsonReader entry = demotions.Object(i);
+    checkpoint.strategy.demotions.push_back(
+        {ReadCandidate(entry.Object("candidate")), entry.Int("count")});
   }
 
-  const JsonValue* strategy = root.Find("strategy");
-  if (strategy == nullptr || strategy->type() != JsonValue::Type::kObject) {
-    *error = "checkpoint has no strategy object";
+  JsonReader chain = in.Object("chain");
+  JsonReader steps = chain.Array("steps");
+  for (size_t i = 0; i < steps.size(); ++i) {
+    JsonReader entry = steps.Object(i);
+    FaultChainStep step;
+    step.candidate = ReadCandidate(entry.Object("candidate"));
+    step.seed = entry.U64("seed");
+    step.rounds = entry.Int("rounds");
+    JsonReader observables = entry.Array("stitched_observables");
+    for (size_t k = 0; k < observables.size(); ++k) {
+      step.stitched_observables.push_back(observables.Str(k));
+    }
+    checkpoint.chain.steps.push_back(std::move(step));
+  }
+  checkpoint.chain.phase = chain.Int("phase");
+  checkpoint.chain.rounds_before_phase = chain.Int("rounds_before_phase");
+  JsonReader stitched = chain.Array("stitched_sites");
+  for (size_t i = 0; i < stitched.size(); ++i) {
+    checkpoint.chain.stitched_sites.push_back(stitched.Int(i));
+  }
+  JsonReader summaries = chain.Array("round_candidates");
+  for (size_t i = 0; i < summaries.size(); ++i) {
+    JsonReader entry = summaries.Object(i);
+    checkpoint.chain.round_candidates.push_back({ReadCandidate(entry.Object("candidate")),
+                                                 entry.Int("present_observables"),
+                                                 entry.Int("round")});
+  }
+  // Hashes are compared as text: any damage to one, even digits past uint64,
+  // is a mismatch.
+  const std::string stored_hash = in.Str("chain_signature_hash");
+
+  JsonReader engine = in.Object("engine");
+  checkpoint.engine_candidates = engine.Int64("candidates");
+  checkpoint.engine_observables = engine.Int64("observables");
+
+  if (in.Has("metrics")) {
+    checkpoint.has_metrics = true;
+    obs::MetricsSnapshotFromJson(in.Object("metrics"), &checkpoint.metrics);
+  }
+  if (!in.ok()) {
     return false;
   }
-  const JsonValue* strategy_name = strategy->Find("name");
-  if (strategy_name == nullptr || strategy_name->type() != JsonValue::Type::kString) {
-    *error = "checkpoint strategy has no name (required since version 6)";
-    return false;
-  }
-  out->strategy_name = strategy_name->as_string();
-  out->strategy.window_size =
-      strategy->Find("window_size") ? static_cast<int>(strategy->Find("window_size")->as_int())
-                                    : 0;
-  out->strategy.exhausted =
-      strategy->Find("exhausted") != nullptr && strategy->Find("exhausted")->as_bool();
-  out->strategy.observable_priorities.clear();
-  if (const JsonValue* priorities = strategy->Find("observable_priorities");
-      priorities != nullptr) {
-    for (const JsonValue& entry : priorities->items()) {
-      out->strategy.observable_priorities.push_back(entry.as_int());
-    }
-  }
-  out->strategy.tried.clear();
-  if (const JsonValue* tried = strategy->Find("tried"); tried != nullptr) {
-    for (const JsonValue& entry : tried->items()) {
-      interp::InjectionCandidate candidate;
-      if (!CandidateFromJson(entry, &candidate, error)) {
-        return false;
-      }
-      out->strategy.tried.push_back(candidate);
-    }
-  }
-  out->strategy.demotions.clear();
-  if (const JsonValue* demotions = strategy->Find("demotions"); demotions != nullptr) {
-    for (const JsonValue& entry : demotions->items()) {
-      StrategyCheckpoint::Demotion demotion;
-      const JsonValue* candidate = entry.Find("candidate");
-      if (candidate == nullptr || !CandidateFromJson(*candidate, &demotion.candidate, error)) {
-        if (error->empty()) {
-          *error = "demotion entry has no candidate";
-        }
-        return false;
-      }
-      demotion.count = entry.Find("count") ? static_cast<int>(entry.Find("count")->as_int()) : 0;
-      out->strategy.demotions.push_back(demotion);
-    }
-  }
-  out->chain = ChainState{};
-  const JsonValue* chain = root.Find("chain");
-  if (chain == nullptr || chain->type() != JsonValue::Type::kObject) {
-    *error = "checkpoint has no chain object (required since version 3)";
-    return false;
-  }
-  if (const JsonValue* steps = chain->Find("steps"); steps != nullptr) {
-    for (const JsonValue& entry : steps->items()) {
-      FaultChainStep step;
-      const JsonValue* candidate = entry.Find("candidate");
-      if (candidate == nullptr || !CandidateFromJson(*candidate, &step.candidate, error)) {
-        if (error->empty()) {
-          *error = "chain step has no candidate";
-        }
-        return false;
-      }
-      step.seed = U64FromJson(entry.Find("seed"));
-      step.rounds = entry.Find("rounds") ? static_cast<int>(entry.Find("rounds")->as_int()) : 0;
-      if (const JsonValue* observables = entry.Find("stitched_observables");
-          observables != nullptr) {
-        for (const JsonValue& key : observables->items()) {
-          step.stitched_observables.push_back(key.as_string());
-        }
-      }
-      out->chain.steps.push_back(std::move(step));
-    }
-  }
-  out->chain.phase =
-      chain->Find("phase") ? static_cast<int>(chain->Find("phase")->as_int()) : 0;
-  out->chain.rounds_before_phase =
-      chain->Find("rounds_before_phase")
-          ? static_cast<int>(chain->Find("rounds_before_phase")->as_int())
-          : 0;
-  if (const JsonValue* stitched = chain->Find("stitched_sites"); stitched != nullptr) {
-    for (const JsonValue& entry : stitched->items()) {
-      out->chain.stitched_sites.push_back(static_cast<ir::FaultSiteId>(entry.as_int()));
-    }
-  }
-  if (const JsonValue* summaries = chain->Find("round_candidates"); summaries != nullptr) {
-    for (const JsonValue& entry : summaries->items()) {
-      ChainRoundCandidate summary;
-      const JsonValue* candidate = entry.Find("candidate");
-      if (candidate == nullptr || !CandidateFromJson(*candidate, &summary.candidate, error)) {
-        if (error->empty()) {
-          *error = "chain round candidate has no candidate";
-        }
-        return false;
-      }
-      summary.present_observables =
-          entry.Find("present_observables")
-              ? static_cast<int>(entry.Find("present_observables")->as_int())
-              : -1;
-      summary.round = entry.Find("round") ? static_cast<int>(entry.Find("round")->as_int()) : 0;
-      out->chain.round_candidates.push_back(summary);
-    }
-  }
-  out->chain_signature_hash = U64FromJson(root.Find("chain_signature_hash"));
-  if (out->chain_signature_hash != ChainSignatureHash(out->chain)) {
+  checkpoint.chain_signature_hash = ChainSignatureHash(checkpoint.chain);
+  if (stored_hash != std::to_string(checkpoint.chain_signature_hash)) {
     *error =
         "chain signature hash mismatch: the checkpoint's chain state does not hash to "
         "its recorded chain_signature_hash — the file is corrupt or was hand-edited; "
         "delete the stale checkpoint and restart the chain search from round 0";
     return false;
   }
-
-  const JsonValue* engine = root.Find("engine");
-  if (engine == nullptr || engine->type() != JsonValue::Type::kObject) {
-    *error = "checkpoint has no engine object (required since version 4)";
-    return false;
-  }
-  out->engine_candidates =
-      engine->Find("candidates") ? engine->Find("candidates")->as_int() : 0;
-  out->engine_observables =
-      engine->Find("observables") ? engine->Find("observables")->as_int() : 0;
-
-  out->has_metrics = false;
-  out->metrics = obs::MetricsSnapshot{};
-  if (const JsonValue* metrics = root.Find("metrics"); metrics != nullptr) {
-    if (!obs::MetricsSnapshotFromJson(*metrics, &out->metrics, error)) {
-      return false;
-    }
-    out->has_metrics = true;
-  }
-  error->clear();
+  *out = std::move(checkpoint);
   return true;
 }
 

@@ -177,7 +177,9 @@ struct SearchCheckpoint {
 uint64_t ProgramFingerprint(const ir::Program& program);
 
 std::string SerializeCheckpoint(const SearchCheckpoint& checkpoint);
-// Returns false (and fills *error) on malformed input or version mismatch.
+// Returns false (and fills *error) on malformed input, a version mismatch, a
+// missing or mistyped field (named by its path, e.g.
+// "checkpoint.strategy.tried[3].occurrence: ..."), or a chain hash mismatch.
 bool ParseCheckpoint(const std::string& text, SearchCheckpoint* out, std::string* error);
 
 bool SaveCheckpointFile(const std::string& path, const SearchCheckpoint& checkpoint);

@@ -54,9 +54,6 @@ struct ExplorerOptions {
   // the same state a process kill at that round would, which is also how the
   // resume tests emulate mid-chain kills deterministically.
   int max_total_rounds = 0;
-  // For ablation variants: consider only the first N occurrences per site
-  // (0 = unlimited).
-  int instance_limit = 0;
   // Runs executed per round with different seeds; their observable feedback
   // is combined and the round succeeds if any run satisfies the oracle. The
   // paper suggests this to counter concurrency making crucial log messages
@@ -110,10 +107,6 @@ struct ExplorerOptions {
   int max_run_retries = 2;
   int64_t retry_initial_delay_ms = 5;
   int64_t retry_max_delay_ms = 250;
-  // A candidate whose run ends hung (stall fired, oracle unsatisfied) is
-  // *demoted* — re-ranked behind fresh candidates — rather than retired;
-  // after this many demotions it is retired for good.
-  int hang_demotions_before_retirement = 2;
   // Observability sinks (src/obs/), not owned; null = disabled, and every
   // instrumentation hook reduces to a single pointer test. Both sinks are
   // deterministic under a fixed seed at any thread count: trace timestamps

@@ -65,7 +65,6 @@ RepRun ExecuteOne(const ExperimentSpec& spec, const ir::FlatProgram* flat,
   if (runtime == nullptr || &runtime->program() != spec.program) {
     runtime = std::make_unique<interp::FaultRuntime>(spec.program);
   }
-  runtime->set_tracing(true);
   runtime->SetWindow(window);
   runtime->SetPinned(spec.pinned_faults);
   interp::Simulator simulator(spec.program, spec.cluster, seed, runtime.get(), flat,

@@ -70,7 +70,6 @@ StitchRunResult RunChainStitch(const ExperimentSpec& spec,
   pinned.push_back(candidate);
   for (;;) {
     interp::FaultRuntime runtime(spec.program);
-    runtime.set_tracing(true);
     runtime.SetPinned(pinned);
     interp::Simulator simulator(spec.program, spec.cluster, spec.base_seed, &runtime);
     result.run = simulator.Run();

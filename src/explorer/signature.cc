@@ -1,8 +1,6 @@
 #include "src/explorer/signature.h"
 
 #include <algorithm>
-#include <cinttypes>
-#include <cstdio>
 #include <unordered_set>
 #include <utility>
 
@@ -17,22 +15,6 @@
 
 namespace anduril::explorer {
 namespace {
-
-std::string U64ToString(uint64_t value) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%" PRIu64, value);
-  return buf;
-}
-
-uint64_t U64FromJson(const JsonValue* value) {
-  if (value == nullptr) {
-    return 0;
-  }
-  if (value->type() == JsonValue::Type::kString) {
-    return std::strtoull(value->as_string().c_str(), nullptr, 10);
-  }
-  return static_cast<uint64_t>(value->as_int());
-}
 
 std::string TaskName(const interp::InitialTask& task) { return task.node + "/" + task.thread; }
 
@@ -88,8 +70,7 @@ JsonValue SignatureToJson(const FaultSignature& signature) {
   JsonValue root = JsonValue::Object();
   root.Set("version", JsonValue::Int(signature.version));
   root.Set("case_id", JsonValue::Str(signature.case_id));
-  root.Set("program_fingerprint",
-           JsonValue::Str(U64ToString(signature.program_fingerprint)));
+  root.Set("program_fingerprint", JsonValue::U64(signature.program_fingerprint));
   root.Set("minimized", JsonValue::Bool(signature.minimized));
   JsonValue steps = JsonValue::Array();
   for (const SignatureStep& step : signature.steps) {
@@ -98,7 +79,7 @@ JsonValue SignatureToJson(const FaultSignature& signature) {
     entry.Set("exception", JsonValue::Str(step.exception));
     entry.Set("occurrence", JsonValue::Int(step.occurrence));
     entry.Set("kind", JsonValue::Str(interp::FaultKindName(step.kind)));
-    entry.Set("seed", JsonValue::Str(U64ToString(step.seed)));
+    entry.Set("seed", JsonValue::U64(step.seed));
     steps.Append(std::move(entry));
   }
   root.Set("steps", std::move(steps));
@@ -293,7 +274,7 @@ FaultSignature MinimizeSignature(const ExperimentSpec& spec, FaultSignature sign
 
 std::string SerializeSignature(const FaultSignature& signature) {
   JsonValue root = SignatureToJson(signature);
-  root.Set("content_hash", JsonValue::Str(U64ToString(ContentHash(signature))));
+  root.Set("content_hash", JsonValue::U64(ContentHash(signature)));
   return root.Dump();
 }
 
@@ -317,52 +298,46 @@ bool ParseSignature(const std::string& text, FaultSignature* out, std::string* e
         kSignatureVersion);
     return false;
   }
-  *out = FaultSignature{};
-  out->version = static_cast<int>(version->as_int());
-  out->case_id = root.Find("case_id") ? root.Find("case_id")->as_string() : "";
-  out->program_fingerprint = U64FromJson(root.Find("program_fingerprint"));
-  out->minimized = root.Find("minimized") != nullptr && root.Find("minimized")->as_bool();
-  if (const JsonValue* steps = root.Find("steps"); steps != nullptr) {
-    for (const JsonValue& entry : steps->items()) {
-      if (entry.type() != JsonValue::Type::kObject) {
-        *error = "signature step is not an object";
-        return false;
-      }
-      SignatureStep step;
-      step.site = entry.Find("site") ? entry.Find("site")->as_string() : "";
-      step.exception = entry.Find("exception") ? entry.Find("exception")->as_string() : "";
-      step.occurrence =
-          entry.Find("occurrence") ? entry.Find("occurrence")->as_int() : 1;
-      const std::string kind =
-          entry.Find("kind") ? entry.Find("kind")->as_string() : std::string("exception");
-      if (!interp::FaultKindFromName(kind, &step.kind)) {
-        *error = "unknown fault kind \"" + kind + "\"";
-        return false;
-      }
-      step.seed = U64FromJson(entry.Find("seed"));
-      out->steps.push_back(std::move(step));
+  JsonReader in(root, "signature", error);
+  FaultSignature signature;
+  signature.case_id = in.Str("case_id");
+  signature.program_fingerprint = in.U64("program_fingerprint");
+  signature.minimized = in.Bool("minimized");
+  JsonReader steps = in.Array("steps");
+  for (size_t i = 0; i < steps.size(); ++i) {
+    JsonReader entry = steps.Object(i);
+    SignatureStep step;
+    step.site = entry.Str("site");
+    step.exception = entry.Str("exception");
+    step.occurrence = entry.Int64("occurrence");
+    const std::string kind = entry.Str("kind");
+    if (entry.ok() && !interp::FaultKindFromName(kind, &step.kind)) {
+      entry.Fail("unknown fault kind \"" + kind + "\"");
     }
+    step.seed = entry.U64("seed");
+    signature.steps.push_back(std::move(step));
   }
-  auto read_strings = [&root](const char* key, std::vector<std::string>* into) {
-    if (const JsonValue* array = root.Find(key); array != nullptr) {
-      for (const JsonValue& entry : array->items()) {
-        into->push_back(entry.as_string());
-      }
+  auto read_strings = [&in](const char* key, std::vector<std::string>* into) {
+    JsonReader array = in.Array(key);
+    for (size_t i = 0; i < array.size(); ++i) {
+      into->push_back(array.Str(i));
     }
   };
-  read_strings("oracle_keys", &out->oracle_keys);
-  read_strings("retained_tasks", &out->retained_tasks);
-  read_strings("ir_methods", &out->ir_methods);
-
-  uint64_t stored_hash = U64FromJson(root.Find("content_hash"));
-  if (stored_hash != ContentHash(*out)) {
+  read_strings("oracle_keys", &signature.oracle_keys);
+  read_strings("retained_tasks", &signature.retained_tasks);
+  read_strings("ir_methods", &signature.ir_methods);
+  const std::string stored_hash = in.Str("content_hash");  // compared as text
+  if (!in.ok()) {
+    return false;
+  }
+  if (stored_hash != std::to_string(ContentHash(signature))) {
     *error =
         "signature content hash mismatch: the file's fields do not hash to its "
         "recorded content_hash — the signature is corrupt or was hand-edited; "
         "re-emit it from a fresh search";
     return false;
   }
-  error->clear();
+  *out = std::move(signature);
   return true;
 }
 

@@ -92,8 +92,8 @@ FaultSignature MinimizeSignature(const ExperimentSpec& spec, FaultSignature sign
                                  int* replays = nullptr);
 
 std::string SerializeSignature(const FaultSignature& signature);
-// Returns false (and fills *error) on malformed input, version mismatch, or
-// content-hash mismatch.
+// Returns false (and fills *error) on malformed input, version mismatch, a
+// missing or mistyped field (named by its path), or content-hash mismatch.
 bool ParseSignature(const std::string& text, FaultSignature* out, std::string* error);
 
 bool SaveSignatureFile(const std::string& path, const FaultSignature& signature);

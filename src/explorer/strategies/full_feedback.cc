@@ -43,6 +43,9 @@ namespace {
 // Added to the stage-2 temporal distance per demotion: large enough to push
 // a demoted instance behind every fresh one, small enough to never overflow.
 constexpr int64_t kDemotionPenalty = 1'000'000;
+// A candidate whose run ends hung (stall fired, oracle unsatisfied) is
+// demoted this many times before it is retired for good.
+constexpr int kHangDemotionsBeforeRetirement = 2;
 
 class FeedbackStrategyBase : public InjectionStrategy {
  public:
@@ -83,7 +86,7 @@ class FeedbackStrategyBase : public InjectionStrategy {
         // normally through the else branch.)
         int& count = demotions_[KeyOf(*outcome.injected)];
         Count("strategy.demoted");
-        if (++count > context_->options().hang_demotions_before_retirement) {
+        if (++count > kHangDemotionsBeforeRetirement) {
           Retire(*outcome.injected);
           Count("strategy.retired");
         }

@@ -120,10 +120,6 @@ class FaultRuntime {
   // the workload" while the search continues for the next one.
   void SetPinned(std::vector<InjectionCandidate> pinned) { pinned_ = std::move(pinned); }
 
-  // Enables/disables instance tracing (tracing is cheap but the trace can be
-  // large; baselines that do not need it can turn it off).
-  void set_tracing(bool enabled) { tracing_ = enabled; }
-
   // Called by the interpreter right before an external call executes, with
   // the statement's natural-transient parameters pre-decoded by the
   // flattener. Returns the action to take: throw an exception (injected,
@@ -168,20 +164,14 @@ class FaultRuntime {
   void BeginRun();
 
   // --- Post-run accessors ----------------------------------------------------
-  // The trace storage is resident — it survives TakeTrace and BeginRun so no
-  // run pays for re-growing or re-initializing it — and both accessors copy
-  // out the live prefix (trivially copyable, so the copy is one memcpy).
+  // The trace storage is resident — it survives CopyTraceTo and BeginRun so
+  // no run pays for re-growing or re-initializing it. trace() copies out the
+  // live prefix (trivially copyable, so the copy is one memcpy).
   std::vector<FaultInstanceEvent> trace() const {
     return std::vector<FaultInstanceEvent>(
         trace_.begin(), trace_.begin() + static_cast<std::ptrdiff_t>(trace_len_));
   }
-  std::vector<FaultInstanceEvent> TakeTrace() {
-    std::vector<FaultInstanceEvent> out(
-        trace_.begin(), trace_.begin() + static_cast<std::ptrdiff_t>(trace_len_));
-    trace_len_ = 0;
-    return out;
-  }
-  // TakeTrace into a caller-owned buffer. Instead of copying, the resident
+  // Hands the trace to a caller-owned buffer. Instead of copying, the resident
   // buffer and `out` trade places: `out` receives the filled buffer trimmed
   // to the live prefix (the trim is O(1) — the event type is trivially
   // destructible) and the runtime keeps `out`'s old storage as the next
@@ -266,9 +256,7 @@ class FaultRuntime {
     int64_t occurrence = BumpOccurrence(site);
     FaultAction action;
     action.occurrence = occurrence;
-    if (tracing_) {
-      TraceAppend(site, occurrence, log_clock, time_ms, thread_id);
-    }
+    TraceAppend(site, occurrence, log_clock, time_ms, thread_id);
     if (Armed(site)) {
       if (ExternalCallMatchArmed(site, occurrence, &action)) {
         return action;
@@ -287,9 +275,7 @@ class FaultRuntime {
     int64_t occurrence = BumpOccurrence(site);
     FaultAction action;
     action.occurrence = occurrence;
-    if (tracing_) {
-      TraceAppend(site, occurrence, log_clock, time_ms, thread_id);
-    }
+    TraceAppend(site, occurrence, log_clock, time_ms, thread_id);
     if (Armed(site)) {
       SendMatchArmed(site, occurrence, &action);
     }
@@ -314,7 +300,6 @@ class FaultRuntime {
   const ir::Program* program_;
   std::vector<InjectionCandidate> window_;
   std::vector<InjectionCandidate> pinned_;
-  bool tracing_ = true;
 
   // Dense per-site occurrence counters (index = FaultSiteId) and the per-run
   // armed-site bitmap: bit `site` is set iff some window or pinned candidate

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <charconv>
 
 #include "src/util/strings.h"
 
@@ -169,53 +170,43 @@ JsonValue MetricsSnapshotToJson(const MetricsSnapshot& snapshot) {
 }
 
 bool MetricsSnapshotFromJson(const JsonValue& value, MetricsSnapshot* out, std::string* error) {
-  if (value.type() != JsonValue::Type::kObject) {
-    *error = "metrics snapshot is not a JSON object";
+  return MetricsSnapshotFromJson(JsonReader(value, "metrics", error), out);
+}
+
+bool MetricsSnapshotFromJson(JsonReader in, MetricsSnapshot* out) {
+  MetricsSnapshot snapshot;
+  JsonReader counters = in.Object("counters");
+  for (size_t i = 0; i < counters.size(); ++i) {
+    snapshot.counters.emplace_back(counters.Name(i), counters.Int64(i));
+  }
+  JsonReader gauges = in.Object("gauges");
+  for (size_t i = 0; i < gauges.size(); ++i) {
+    snapshot.gauges.emplace_back(gauges.Name(i), gauges.Int64(i));
+  }
+  JsonReader histograms = in.Object("histograms");
+  for (size_t i = 0; i < histograms.size(); ++i) {
+    JsonReader entry = histograms.Object(i);
+    MetricsSnapshot::Histogram histogram;
+    histogram.count = entry.Int64("count");
+    histogram.sum = entry.Int64("sum");
+    JsonReader buckets = entry.Object("buckets");
+    for (size_t b = 0; b < buckets.size(); ++b) {
+      const std::string& key = buckets.Name(b);
+      int bucket = -1;
+      auto [end, ec] = std::from_chars(key.data(), key.data() + key.size(), bucket);
+      if (ec != std::errc() || end != key.data() + key.size() || bucket < 0 ||
+          bucket >= kHistogramBuckets) {
+        buckets.Fail(StrFormat("bucket \"%s\" is not an integer in [0, %d)", key.c_str(),
+                               kHistogramBuckets));
+      }
+      histogram.buckets.emplace_back(bucket, buckets.Int64(b));
+    }
+    snapshot.histograms.emplace_back(histograms.Name(i), std::move(histogram));
+  }
+  if (!in.ok()) {
     return false;
   }
-  out->counters.clear();
-  out->gauges.clear();
-  out->histograms.clear();
-  if (const JsonValue* counters = value.Find("counters"); counters != nullptr) {
-    if (counters->type() != JsonValue::Type::kObject) {
-      *error = "metrics \"counters\" is not an object";
-      return false;
-    }
-    for (const auto& [name, entry] : counters->members()) {
-      out->counters.emplace_back(name, entry.as_int());
-    }
-  }
-  if (const JsonValue* gauges = value.Find("gauges"); gauges != nullptr) {
-    if (gauges->type() != JsonValue::Type::kObject) {
-      *error = "metrics \"gauges\" is not an object";
-      return false;
-    }
-    for (const auto& [name, entry] : gauges->members()) {
-      out->gauges.emplace_back(name, entry.as_int());
-    }
-  }
-  if (const JsonValue* histograms = value.Find("histograms"); histograms != nullptr) {
-    if (histograms->type() != JsonValue::Type::kObject) {
-      *error = "metrics \"histograms\" is not an object";
-      return false;
-    }
-    for (const auto& [name, entry] : histograms->members()) {
-      if (entry.type() != JsonValue::Type::kObject) {
-        *error = "metrics histogram \"" + name + "\" is not an object";
-        return false;
-      }
-      MetricsSnapshot::Histogram histogram;
-      histogram.count = entry.Find("count") ? entry.Find("count")->as_int() : 0;
-      histogram.sum = entry.Find("sum") ? entry.Find("sum")->as_int() : 0;
-      if (const JsonValue* buckets = entry.Find("buckets"); buckets != nullptr) {
-        for (const auto& [bucket, count] : buckets->members()) {
-          histogram.buckets.emplace_back(std::atoi(bucket.c_str()), count.as_int());
-        }
-      }
-      out->histograms.emplace_back(name, std::move(histogram));
-    }
-  }
-  error->clear();
+  *out = std::move(snapshot);
   return true;
 }
 

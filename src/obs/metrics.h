@@ -59,6 +59,9 @@ struct MetricsSnapshot {
 // by DumpJson and the checkpoint's embedded snapshot).
 JsonValue MetricsSnapshotToJson(const MetricsSnapshot& snapshot);
 bool MetricsSnapshotFromJson(const JsonValue& value, MetricsSnapshot* out, std::string* error);
+// The same read through `in`, whose path prefixes any error (a checkpoint's
+// embedded snapshot reports "checkpoint.metrics.counters...").
+bool MetricsSnapshotFromJson(JsonReader in, MetricsSnapshot* out);
 
 class MetricsRegistry {
  public:
@@ -103,8 +106,8 @@ class MetricsRegistry {
 inline constexpr int kMetricsFormatVersion = 1;
 
 // Parses a DumpJson() document. Returns false (and fills *error) on
-// malformed JSON, a missing "anduril_metrics" field, or an unsupported
-// version.
+// malformed JSON, a missing "anduril_metrics" field, an unsupported
+// version, or a missing or mistyped member (named by its path).
 bool ParseMetricsJson(const std::string& text, MetricsSnapshot* out, std::string* error);
 
 }  // namespace anduril::obs

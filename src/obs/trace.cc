@@ -1,8 +1,6 @@
 #include "src/obs/trace.h"
 
 #include <algorithm>
-#include <cinttypes>
-#include <cstdio>
 #include <tuple>
 #include <utility>
 
@@ -11,38 +9,6 @@
 
 namespace anduril::obs {
 namespace {
-
-void AppendJsonString(std::string* out, const std::string& text) {
-  out->push_back('"');
-  for (char c : text) {
-    switch (c) {
-      case '"':
-        out->append("\\\"");
-        break;
-      case '\\':
-        out->append("\\\\");
-        break;
-      case '\n':
-        out->append("\\n");
-        break;
-      case '\r':
-        out->append("\\r");
-        break;
-      case '\t':
-        out->append("\\t");
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out->append(buf);
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
-  out->push_back('"');
-}
 
 void AppendArgs(std::string* out, const std::vector<TraceArg>& args) {
   out->append(",\"args\":{");
@@ -102,9 +68,7 @@ TraceArg ArgInt(std::string key, int64_t value) {
 }
 
 TraceArg ArgUint(std::string key, uint64_t value) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%" PRIu64, value);
-  return TraceArg{std::move(key), buf};
+  return TraceArg{std::move(key), std::to_string(value)};
 }
 
 TraceArg ArgBool(std::string key, bool value) {
@@ -234,42 +198,39 @@ bool Tracer::ParseJsonl(const std::string& text, std::vector<TraceEvent>* out,
       saw_header = true;
       continue;
     }
-    const JsonValue* ph = value.Find("ph");
-    if (ph == nullptr || ph->type() != JsonValue::Type::kString) {
-      *error = StrFormat("trace line %zu has no \"ph\" field", line_number);
-      return false;
-    }
+    JsonReader in(value, StrFormat("trace line %zu", line_number), error);
     TraceEvent event;
-    if (ph->as_string() == "X") {
-      event.kind = TraceEvent::Kind::kSpan;
-    } else if (ph->as_string() == "i") {
+    const std::string ph = in.Str("ph");
+    if (ph == "i") {
       event.kind = TraceEvent::Kind::kInstant;
-    } else {
-      *error = StrFormat("trace line %zu has unknown phase \"%s\"", line_number,
-                         ph->as_string().c_str());
-      return false;
+    } else if (ph != "X") {
+      in.Fail("unknown phase \"" + ph + "\"");
     }
-    event.category = value.Find("cat") ? value.Find("cat")->as_string() : "";
-    event.name = value.Find("name") ? value.Find("name")->as_string() : "";
-    event.ts = value.Find("ts") ? value.Find("ts")->as_int() : 0;
-    event.dur = value.Find("dur") ? value.Find("dur")->as_int() : 0;
-    event.track = value.Find("track") ? value.Find("track")->as_int() : 0;
-    event.wall_nanos = value.Find("wall_nanos") ? value.Find("wall_nanos")->as_int() : 0;
-    if (const JsonValue* args = value.Find("args"); args != nullptr) {
-      for (const auto& [key, arg] : args->members()) {
-        std::string rendered;
-        switch (arg.type()) {
-          case JsonValue::Type::kString:
-            AppendJsonString(&rendered, arg.as_string());
-            break;
-          case JsonValue::Type::kBool:
-            rendered = arg.as_bool() ? "true" : "false";
-            break;
-          default:
-            rendered = std::to_string(arg.as_int());
-        }
-        event.args.push_back(TraceArg{key, std::move(rendered)});
+    event.category = in.Str("cat");
+    event.name = in.Str("name");
+    event.ts = in.Int64("ts");
+    if (event.kind == TraceEvent::Kind::kSpan) {
+      event.dur = in.Int64("dur");
+    }
+    event.track = in.Int64("track");
+    if (in.Has("wall_nanos")) {
+      event.wall_nanos = in.Int64("wall_nanos");
+    }
+    JsonReader args = in.Object("args");
+    for (size_t i = 0; i < args.size(); ++i) {
+      const JsonValue& arg = args.At(i);
+      std::string rendered;
+      if (arg.type() == JsonValue::Type::kString) {
+        AppendJsonString(&rendered, arg.as_string());
+      } else if (arg.type() == JsonValue::Type::kBool) {
+        rendered = arg.as_bool() ? "true" : "false";
+      } else {
+        rendered = std::to_string(args.Int64(i));  // fails on any other type
       }
+      event.args.push_back(TraceArg{args.Name(i), std::move(rendered)});
+    }
+    if (!in.ok()) {
+      return false;
     }
     out->push_back(std::move(event));
   }

@@ -90,8 +90,9 @@ class Tracer {
 
   // Parses a DumpJsonl() document. Returns false (and fills *error) on a
   // missing/unsupported version header or any malformed line (e.g. a file
-  // truncated mid-write). Numeric args are normalized through int64 (JSON
-  // has no uint64): an ArgUint above int64 max will not round-trip.
+  // truncated mid-write, or a field missing or mistyped: JsonReader's error
+  // names the line and member). Numeric args are normalized through int64
+  // (JSON has no uint64): an ArgUint above int64 max will not round-trip.
   static bool ParseJsonl(const std::string& text, std::vector<TraceEvent>* out,
                          std::string* error);
 

@@ -1,29 +1,10 @@
 #include "src/service/manifest.h"
 
-#include <charconv>
-
 #include "src/util/file.h"
 #include "src/util/hash.h"
 #include "src/util/json.h"
 
 namespace anduril::service {
-namespace {
-
-// u64 fields ride as strings, like the checkpoint format: JSON numbers lose
-// precision past 2^53.
-JsonValue U64(uint64_t value) { return JsonValue::Str(std::to_string(value)); }
-
-bool ParseU64(const JsonValue* value, uint64_t* out) {
-  if (value == nullptr || value->type() != JsonValue::Type::kString) {
-    return false;
-  }
-  const std::string& text = value->as_string();
-  auto [ptr, ec] = std::from_chars(text.data(), text.data() + text.size(), *out);
-  return ec == std::errc() && ptr == text.data() + text.size();
-}
-
-}  // namespace
-
 const char* CaseStateName(CaseState state) {
   switch (state) {
     case CaseState::kPending:
@@ -103,19 +84,19 @@ std::string SerializeManifest(const QueueManifest& manifest) {
     item.Set("state", JsonValue::Str(CaseStateName(entry.state)));
     if (!entry.script.empty()) {
       item.Set("script", JsonValue::Str(entry.script));
-      item.Set("script_seed", U64(entry.script_seed));
+      item.Set("script_seed", JsonValue::U64(entry.script_seed));
     }
     cases.Append(std::move(item));
   }
   root.Set("cases", std::move(cases));
-  root.Set("integrity", U64(ManifestIntegrityHash(manifest)));
+  root.Set("integrity", JsonValue::U64(ManifestIntegrityHash(manifest)));
   return root.Dump();
 }
 
 bool ParseManifest(const std::string& text, QueueManifest* out, std::string* error) {
   std::string parse_error;
   JsonValue root = JsonValue::Parse(text, &parse_error);
-  if (root.is_null()) {
+  if (!parse_error.empty()) {
     *error = "manifest: " + parse_error;
     return false;
   }
@@ -129,55 +110,36 @@ bool ParseManifest(const std::string& text, QueueManifest* out, std::string* err
              " (this build reads version " + std::to_string(kQueueFormatVersion) + ")";
     return false;
   }
+  JsonReader in(root, "manifest", error);
   QueueManifest manifest;
-  manifest.slice_rounds = static_cast<int>(root.Find("slice_rounds") != nullptr
-                                               ? root.Find("slice_rounds")->as_int()
-                                               : 0);
-  const JsonValue* cases = root.Find("cases");
-  if (cases == nullptr || cases->type() != JsonValue::Type::kArray) {
-    *error = "manifest: missing \"cases\" array";
-    return false;
-  }
-  for (const JsonValue& item : cases->items()) {
+  manifest.slice_rounds = in.Int("slice_rounds");
+  JsonReader cases = in.Array("cases");
+  for (size_t i = 0; i < cases.size(); ++i) {
+    JsonReader item = cases.Object(i);
     QueueCase entry;
-    const JsonValue* id = item.Find("id");
-    if (id == nullptr || id->type() != JsonValue::Type::kString) {
-      *error = "manifest: case entry without \"id\"";
-      return false;
+    entry.id = item.Str("id");
+    entry.chain = item.Bool("chain");
+    entry.round_budget = item.Int("round_budget");
+    entry.rounds_done = item.Int("rounds_done");
+    entry.slices_done = item.Int("slices_done");
+    entry.crashes = item.Int("crashes");
+    const std::string state = item.Str("state");
+    if (item.ok() && !CaseStateFromName(state, &entry.state)) {
+      item.Fail("unknown state \"" + state + "\"");
     }
-    entry.id = id->as_string();
-    entry.chain = item.Find("chain") != nullptr && item.Find("chain")->as_bool();
-    entry.round_budget =
-        static_cast<int>(item.Find("round_budget") ? item.Find("round_budget")->as_int() : 0);
-    entry.rounds_done =
-        static_cast<int>(item.Find("rounds_done") ? item.Find("rounds_done")->as_int() : 0);
-    entry.slices_done =
-        static_cast<int>(item.Find("slices_done") ? item.Find("slices_done")->as_int() : 0);
-    entry.crashes =
-        static_cast<int>(item.Find("crashes") ? item.Find("crashes")->as_int() : 0);
-    const JsonValue* state = item.Find("state");
-    if (state == nullptr || !CaseStateFromName(state->as_string(), &entry.state)) {
-      *error = "manifest: case " + entry.id + " has an unknown state";
-      return false;
-    }
-    if (const JsonValue* script = item.Find("script"); script != nullptr) {
-      entry.script = script->as_string();
-      if (!ParseU64(item.Find("script_seed"), &entry.script_seed)) {
-        *error = "manifest: case " + entry.id + " has a script but no valid script_seed";
-        return false;
-      }
+    if (item.Has("script")) {
+      entry.script = item.Str("script");
+      entry.script_seed = item.U64("script_seed");
     }
     manifest.cases.push_back(std::move(entry));
   }
-  uint64_t stored = 0;
-  if (!ParseU64(root.Find("integrity"), &stored)) {
-    *error = "manifest: missing or malformed \"integrity\" hash";
+  const std::string stored = in.Str("integrity");  // compared as text
+  if (!in.ok()) {
     return false;
   }
-  const uint64_t computed = ManifestIntegrityHash(manifest);
+  const std::string computed = std::to_string(ManifestIntegrityHash(manifest));
   if (stored != computed) {
-    *error = "manifest: integrity hash mismatch (stored " + std::to_string(stored) +
-             ", computed " + std::to_string(computed) +
+    *error = "manifest: integrity hash mismatch (stored " + stored + ", computed " + computed +
              ") — the queue file was edited or corrupted";
     return false;
   }

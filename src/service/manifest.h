@@ -82,7 +82,8 @@ uint64_t ManifestIntegrityHash(const QueueManifest& manifest);
 
 std::string SerializeManifest(const QueueManifest& manifest);
 // Returns false (and fills *error) on malformed input, an unsupported
-// version, an unknown state name, or an integrity-hash mismatch.
+// version, a missing or mistyped field or unknown state name (named by its
+// path), or an integrity-hash mismatch.
 bool ParseManifest(const std::string& text, QueueManifest* out, std::string* error);
 
 bool SaveManifestFile(const std::string& path, const QueueManifest& manifest);

@@ -1,36 +1,8 @@
 #include "src/service/work.h"
 
-#include <charconv>
-
 #include "src/util/json.h"
 
 namespace anduril::service {
-namespace {
-
-JsonValue U64(uint64_t value) { return JsonValue::Str(std::to_string(value)); }
-
-bool ParseU64(const JsonValue* value, uint64_t* out) {
-  if (value == nullptr || value->type() != JsonValue::Type::kString) {
-    return false;
-  }
-  const std::string& text = value->as_string();
-  auto [ptr, ec] = std::from_chars(text.data(), text.data() + text.size(), *out);
-  return ec == std::errc() && ptr == text.data() + text.size();
-}
-
-std::string RequireString(const JsonValue& root, const char* key) {
-  const JsonValue* value = root.Find(key);
-  return value != nullptr && value->type() == JsonValue::Type::kString ? value->as_string()
-                                                                       : std::string();
-}
-
-int64_t IntOr(const JsonValue& root, const char* key, int64_t fallback) {
-  const JsonValue* value = root.Find(key);
-  return value != nullptr ? value->as_int(fallback) : fallback;
-}
-
-}  // namespace
-
 const char* SliceStatusName(SliceStatus status) {
   switch (status) {
     case SliceStatus::kReproduced:
@@ -75,24 +47,26 @@ std::string SerializeWorkUnit(const WorkUnit& unit) {
 bool ParseWorkUnit(const std::string& text, WorkUnit* out, std::string* error) {
   std::string parse_error;
   JsonValue root = JsonValue::Parse(text, &parse_error);
-  if (root.is_null()) {
+  if (!parse_error.empty()) {
     *error = "work unit: " + parse_error;
     return false;
   }
+  JsonReader in(root, "work_unit", error);
   WorkUnit unit;
-  unit.case_id = RequireString(root, "case_id");
-  if (unit.case_id.empty()) {
-    *error = "work unit: missing case_id";
+  unit.case_id = in.Str("case_id");
+  unit.chain = in.Bool("chain");
+  unit.slice_rounds = in.Int("slice_rounds");
+  unit.round_budget = in.Int("round_budget");
+  unit.checkpoint_path = in.Str("checkpoint_path");
+  unit.metrics_path = in.Str("metrics_path");
+  unit.daemon_pid = in.Int64("daemon_pid");
+  unit.emulate_crash_after_rounds = in.Int("emulate_crash_after_rounds");
+  if (in.ok() && unit.case_id.empty()) {
+    in.Fail("empty case_id");
+  }
+  if (!in.ok()) {
     return false;
   }
-  unit.chain = root.Find("chain") != nullptr && root.Find("chain")->as_bool();
-  unit.slice_rounds = static_cast<int>(IntOr(root, "slice_rounds", 0));
-  unit.round_budget = static_cast<int>(IntOr(root, "round_budget", 0));
-  unit.checkpoint_path = RequireString(root, "checkpoint_path");
-  unit.metrics_path = RequireString(root, "metrics_path");
-  unit.daemon_pid = IntOr(root, "daemon_pid", 0);
-  unit.emulate_crash_after_rounds =
-      static_cast<int>(IntOr(root, "emulate_crash_after_rounds", 0));
   *out = std::move(unit);
   return true;
 }
@@ -104,7 +78,7 @@ std::string SerializeWorkResult(const WorkResult& result) {
   root.Set("rounds_done", JsonValue::Int(result.rounds_done));
   if (!result.script.empty()) {
     root.Set("script", JsonValue::Str(result.script));
-    root.Set("script_seed", U64(result.script_seed));
+    root.Set("script_seed", JsonValue::U64(result.script_seed));
   }
   root.Set("daemon_pid", JsonValue::Int(result.daemon_pid));
   if (!result.error.empty()) {
@@ -116,31 +90,32 @@ std::string SerializeWorkResult(const WorkResult& result) {
 bool ParseWorkResult(const std::string& text, WorkResult* out, std::string* error) {
   std::string parse_error;
   JsonValue root = JsonValue::Parse(text, &parse_error);
-  if (root.is_null()) {
+  if (!parse_error.empty()) {
     *error = "work result: " + parse_error;
     return false;
   }
+  JsonReader in(root, "work_result", error);
   WorkResult result;
-  result.case_id = RequireString(root, "case_id");
-  if (result.case_id.empty()) {
-    *error = "work result: missing case_id";
+  result.case_id = in.Str("case_id");
+  const std::string status = in.Str("status");
+  if (in.ok() && !SliceStatusFromName(status, &result.status)) {
+    in.Fail("unknown status \"" + status + "\"");
+  }
+  result.rounds_done = in.Int("rounds_done");
+  if (in.Has("script")) {
+    result.script = in.Str("script");
+    result.script_seed = in.U64("script_seed");
+  }
+  result.daemon_pid = in.Int64("daemon_pid");
+  if (in.Has("error")) {
+    result.error = in.Str("error");
+  }
+  if (in.ok() && result.case_id.empty()) {
+    in.Fail("empty case_id");
+  }
+  if (!in.ok()) {
     return false;
   }
-  const JsonValue* status = root.Find("status");
-  if (status == nullptr || !SliceStatusFromName(status->as_string(), &result.status)) {
-    *error = "work result: missing or unknown status";
-    return false;
-  }
-  result.rounds_done = static_cast<int>(IntOr(root, "rounds_done", 0));
-  if (const JsonValue* script = root.Find("script"); script != nullptr) {
-    result.script = script->as_string();
-    if (!ParseU64(root.Find("script_seed"), &result.script_seed)) {
-      *error = "work result: script without a valid script_seed";
-      return false;
-    }
-  }
-  result.daemon_pid = IntOr(root, "daemon_pid", 0);
-  result.error = RequireString(root, "error");
   *out = std::move(result);
   return true;
 }

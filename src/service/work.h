@@ -65,6 +65,8 @@ struct WorkResult {
 // Worker exit code for an emulated mid-slice crash (test hook).
 inline constexpr int kWorkerEmulatedCrashExit = 42;
 
+// The parsers return false (and fill *error, naming the field's path) on
+// malformed input or a missing, mistyped or out-of-range field.
 std::string SerializeWorkUnit(const WorkUnit& unit);
 bool ParseWorkUnit(const std::string& text, WorkUnit* out, std::string* error);
 

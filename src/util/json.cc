@@ -2,9 +2,11 @@
 
 #include <cctype>
 #include <cerrno>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 
 namespace anduril {
 namespace {
@@ -283,7 +285,20 @@ struct Parser {
   }
 };
 
-void EscapeInto(const std::string& value, std::string* out) {
+const char* TypeName(JsonValue::Type type) {
+  static constexpr const char* kNames[] = {"null",   "boolean", "integer", "number",
+                                           "string", "array",   "object"};
+  return kNames[static_cast<int>(type)];
+}
+
+const JsonValue& NullValue() {
+  static const JsonValue kNull;
+  return kNull;
+}
+
+}  // namespace
+
+void AppendJsonString(std::string* out, const std::string& value) {
   out->push_back('"');
   for (char c : value) {
     switch (c) {
@@ -304,8 +319,6 @@ void EscapeInto(const std::string& value, std::string* out) {
   }
   out->push_back('"');
 }
-
-}  // namespace
 
 JsonValue JsonValue::Bool(bool value) {
   JsonValue v;
@@ -334,6 +347,8 @@ JsonValue JsonValue::Str(std::string value) {
   v.string_ = std::move(value);
   return v;
 }
+
+JsonValue JsonValue::U64(uint64_t value) { return Str(std::to_string(value)); }
 
 JsonValue JsonValue::Array() {
   JsonValue v;
@@ -456,7 +471,7 @@ void JsonValue::DumpTo(std::string* out, int depth) const {
       return;
     }
     case Type::kString:
-      EscapeInto(string_, out);
+      AppendJsonString(out, string_);
       return;
     case Type::kArray: {
       if (items_.empty()) {
@@ -481,7 +496,7 @@ void JsonValue::DumpTo(std::string* out, int depth) const {
       *out += "{\n";
       for (size_t i = 0; i < members_.size(); ++i) {
         indent(depth + 1);
-        EscapeInto(members_[i].first, out);
+        AppendJsonString(out, members_[i].first);
         *out += ": ";
         members_[i].second.DumpTo(out, depth + 1);
         *out += i + 1 < members_.size() ? ",\n" : "\n";
@@ -492,5 +507,126 @@ void JsonValue::DumpTo(std::string* out, int depth) const {
     }
   }
 }
+
+// --- JsonReader ----------------------------------------------------------------
+
+JsonReader::JsonReader(const JsonValue& value, std::string path, std::string* error)
+    : value_(&value), path_(std::move(path)), error_(error) {
+  error_->clear();
+  if (value.type() != JsonValue::Type::kObject) {
+    Fail(std::string("expected object, found ") + TypeName(value.type()));
+  }
+}
+
+void JsonReader::Fail(const std::string& message) {
+  if (error_->empty()) {
+    *error_ = path_ + ": " + message;
+  }
+}
+
+void JsonReader::FailAt(Key key, const std::string& message) {
+  if (error_->empty()) {
+    *error_ = PathOf(key) + ": " + message;
+  }
+}
+
+std::string JsonReader::PathOf(Key key) const {
+  if (key.name != nullptr) {
+    return path_ + "." + key.name;
+  }
+  if (value_->type() == JsonValue::Type::kObject) {
+    return path_ + "." + Name(key.index);
+  }
+  return path_ + "[" + std::to_string(key.index) + "]";
+}
+
+const JsonValue* JsonReader::Read(Key key, JsonValue::Type type) {
+  if (!ok()) {
+    return nullptr;
+  }
+  const JsonValue* value = key.name != nullptr ? value_->Find(key.name) : &At(key.index);
+  if (value == nullptr) {
+    Fail(std::string("no ") + key.name + " " + TypeName(type));
+    return nullptr;
+  }
+  const bool number = type == JsonValue::Type::kDouble &&
+                      (value->type() == JsonValue::Type::kInt || value->is_null());
+  if (value->type() != type && !number) {
+    FailAt(key, std::string("expected ") + TypeName(type) + ", found " + TypeName(value->type()));
+    return nullptr;
+  }
+  return value;
+}
+
+JsonReader JsonReader::Child(Key key, JsonValue::Type type) {
+  const JsonValue* value = Read(key, type);
+  if (value == nullptr) {
+    return JsonReader(&NullValue(), path_, error_);
+  }
+  return JsonReader(value, PathOf(key), error_);
+}
+
+bool JsonReader::Has(const char* name) const { return value_->Find(name) != nullptr; }
+
+size_t JsonReader::size() const {
+  return value_->type() == JsonValue::Type::kObject ? value_->members().size()
+                                                    : value_->items().size();
+}
+
+const std::string& JsonReader::Name(size_t index) const {
+  return value_->members()[index].first;
+}
+
+const JsonValue& JsonReader::At(size_t index) const {
+  return value_->type() == JsonValue::Type::kObject ? value_->members()[index].second
+                                                    : value_->items()[index];
+}
+
+std::string JsonReader::Str(Key key) {
+  const JsonValue* value = Read(key, JsonValue::Type::kString);
+  return value != nullptr ? value->as_string() : std::string();
+}
+
+bool JsonReader::Bool(Key key) {
+  const JsonValue* value = Read(key, JsonValue::Type::kBool);
+  return value != nullptr && value->as_bool();
+}
+
+int JsonReader::Int(Key key) {
+  const int64_t value = Int64(key);
+  if (value < std::numeric_limits<int>::min() || value > std::numeric_limits<int>::max()) {
+    FailAt(key, std::to_string(value) + " does not fit int");
+    return 0;
+  }
+  return static_cast<int>(value);
+}
+
+int64_t JsonReader::Int64(Key key) {
+  const JsonValue* value = Read(key, JsonValue::Type::kInt);
+  return value != nullptr ? value->as_int() : 0;
+}
+
+uint64_t JsonReader::U64(Key key) {
+  const std::string text = Str(key);
+  uint64_t out = 0;
+  auto [end, ec] = std::from_chars(text.data(), text.data() + text.size(), out);
+  if (ok() && (ec != std::errc() || end != text.data() + text.size())) {
+    FailAt(key, "\"" + text + "\" is not a decimal uint64");
+    return 0;
+  }
+  return out;
+}
+
+double JsonReader::Double(Key key) {
+  const JsonValue* value = Read(key, JsonValue::Type::kDouble);
+  if (value == nullptr) {
+    return 0;
+  }
+  return value->is_null() ? std::numeric_limits<double>::quiet_NaN() : value->as_double();
+}
+
+JsonReader JsonReader::Object(Key key) { return Child(key, JsonValue::Type::kObject); }
+
+JsonReader JsonReader::Array(Key key) { return Child(key, JsonValue::Type::kArray); }
 
 }  // namespace anduril

@@ -1,11 +1,15 @@
-// Minimal JSON value type with a parser and serializer, for the explorer's
-// checkpoint files. Supports objects, arrays, strings (with the standard
-// escapes), 64-bit integers, doubles, booleans, and null — deliberately no
-// more. Object keys keep insertion order so serialization is byte-stable.
+// Minimal JSON value type with a parser and serializer, plus JsonReader, the
+// one strict reader for every JSON file the project writes and reads back:
+// search checkpoints, fault signatures, the service's queue manifest and work
+// files, metrics dumps and trace JSONL. Supports objects, arrays, strings
+// (with the standard escapes), 64-bit integers, doubles, booleans, and null —
+// deliberately no more. Object keys keep insertion order so serialization is
+// byte-stable.
 
 #ifndef ANDURIL_SRC_UTIL_JSON_H_
 #define ANDURIL_SRC_UTIL_JSON_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -24,6 +28,9 @@ class JsonValue {
   static JsonValue Int(int64_t value);
   static JsonValue Double(double value);
   static JsonValue Str(std::string value);
+  // A uint64 as a decimal string: JSON numbers lose precision past 2^53, and
+  // this parser's integers stop at int64. JsonReader::U64 reads it back.
+  static JsonValue U64(uint64_t value);
   static JsonValue Array();
   static JsonValue Object();
 
@@ -66,6 +73,66 @@ class JsonValue {
   std::string string_;
   std::vector<JsonValue> items_;
   std::vector<std::pair<std::string, JsonValue>> members_;
+};
+
+// Appends `value` as a JSON string literal, escaped exactly as Dump escapes
+// strings (for writers that render compact JSON by hand).
+void AppendJsonString(std::string* out, const std::string& value);
+
+// Strict typed reads over a parsed object or array. Every getter requires
+// its member (or element) and its type; Has() guards the members a writer
+// emits only sometimes, and unknown members are ignored. An integer must fit
+// its destination, and U64 takes only a full decimal match. A failed read
+// records "<path>: <what>" in the shared error, where the path runs from the
+// reader's name through each member and index (say
+// "checkpoint.strategy.tried[3].occurrence: ..."), and returns a zero value.
+// The first error wins, so a parser reads every field and checks ok() once.
+class JsonReader {
+ public:
+  // A member name, or the index of an array item or of an object member.
+  struct Key {
+    Key(const char* name) : name(name) {}
+    Key(size_t index) : index(index) {}
+    const char* name = nullptr;
+    size_t index = 0;
+  };
+
+  // Reads the object `value`, called `path` in errors. Clears *error.
+  JsonReader(const JsonValue& value, std::string path, std::string* error);
+
+  bool ok() const { return error_->empty(); }
+  // Records "<path>: <message>" unless an error is already recorded.
+  void Fail(const std::string& message);
+
+  bool Has(const char* name) const;
+  // Items or members. An index Key, Name and At take an index below size().
+  size_t size() const;
+  const std::string& Name(size_t index) const;  // an object member's name
+  const JsonValue& At(size_t index) const;      // untyped
+
+  std::string Str(Key key);
+  bool Bool(Key key);
+  int Int(Key key);
+  int64_t Int64(Key key);
+  uint64_t U64(Key key);
+  // Any number; null, which Dump writes for a non-finite double, reads as NaN.
+  double Double(Key key);
+  JsonReader Object(Key key);
+  JsonReader Array(Key key);
+
+ private:
+  JsonReader(const JsonValue* value, std::string path, std::string* error)
+      : value_(value), path_(std::move(path)), error_(error) {}
+
+  // The value at `key` if it has `type`; null after a failed read.
+  const JsonValue* Read(Key key, JsonValue::Type type);
+  JsonReader Child(Key key, JsonValue::Type type);
+  std::string PathOf(Key key) const;
+  void FailAt(Key key, const std::string& message);
+
+  const JsonValue* value_;
+  std::string path_;
+  std::string* error_;
 };
 
 }  // namespace anduril

@@ -19,8 +19,6 @@ class Stopwatch {
     return std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() - start_).count();
   }
 
-  double ElapsedMicros() const { return static_cast<double>(ElapsedNanos()) / 1e3; }
-  double ElapsedMillis() const { return static_cast<double>(ElapsedNanos()) / 1e6; }
   double ElapsedSeconds() const { return static_cast<double>(ElapsedNanos()) / 1e9; }
 
  private:

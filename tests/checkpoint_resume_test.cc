@@ -14,7 +14,9 @@
 #include "src/explorer/checkpoint.h"
 #include "src/explorer/explorer.h"
 #include "src/explorer/strategy.h"
+#include "src/obs/metrics.h"
 #include "src/systems/common.h"
+#include "src/util/file.h"
 #include "tests/test_util.h"
 
 namespace anduril::explorer {
@@ -363,6 +365,121 @@ TEST(CheckpointTest, LoadRejectsDeeplyNestedFile) {
             std::string::npos)
       << error;
   std::remove(path.c_str());
+}
+
+// --- hostile input and the fixed point -------------------------------------------
+//
+// Every checkpoint a real search writes parses and re-serializes to its exact
+// bytes; one damaged field is rejected with the field's path.
+
+// Runs `case_id` for `rounds` rounds with a metrics registry attached and
+// returns the checkpoint file it leaves.
+std::string CheckpointAfterRounds(const std::string& case_id, int rounds) {
+  const systems::FailureCase* failure_case = systems::FindCase(case_id);
+  EXPECT_NE(failure_case, nullptr);
+  systems::BuiltCase built = systems::BuildCase(*failure_case);
+  ExplorerOptions options = OptionsForCase(*failure_case, 1);
+  options.max_rounds = rounds;
+  obs::MetricsRegistry metrics;
+  options.metrics = &metrics;
+  const std::string path = TempPath("written_" + case_id + ".json");
+  RunSearch(built, options, CheckpointConfig{path, nullptr});
+  std::string text;
+  EXPECT_TRUE(ReadFileToString(path, &text)) << path;
+  std::remove(path.c_str());
+  return text;
+}
+
+TEST(CheckpointFixedPointTest, EveryRoundOfAZk2247SearchReserializesByteIdentically) {
+  const systems::FailureCase* failure_case = systems::FindCase("zk-2247");
+  ASSERT_NE(failure_case, nullptr);
+  systems::BuiltCase built = systems::BuildCase(*failure_case);
+  const ExploreResult baseline = RunSearch(built, OptionsForCase(*failure_case, 1));
+  ASSERT_TRUE(baseline.reproduced);
+  ASSERT_GT(baseline.rounds, 2);
+  // The reproducing round writes no checkpoint; every earlier one does.
+  for (int rounds = 1; rounds < baseline.rounds; ++rounds) {
+    SCOPED_TRACE("after round " + std::to_string(rounds));
+    const std::string text = CheckpointAfterRounds("zk-2247", rounds);
+    SearchCheckpoint parsed;
+    std::string error;
+    ASSERT_TRUE(ParseCheckpoint(text, &parsed, &error)) << error;
+    EXPECT_TRUE(parsed.has_metrics);
+    EXPECT_EQ(parsed.rounds_completed, rounds);
+    EXPECT_EQ(SerializeCheckpoint(parsed), text);
+  }
+}
+
+// A ka-10048 search checkpointed after four rounds, with metrics.
+const std::string& Ka10048Checkpoint() {
+  static const std::string* text = new std::string(CheckpointAfterRounds("ka-10048", 4));
+  return *text;
+}
+
+TEST(CheckpointHostileInputTest, UndamagedFileParses) {
+  SearchCheckpoint parsed;
+  std::string error;
+  ASSERT_TRUE(ParseCheckpoint(Ka10048Checkpoint(), &parsed, &error)) << error;
+  EXPECT_EQ(parsed.rounds_completed, 4);
+  EXPECT_GE(parsed.strategy.tried.size(), 4u);
+  EXPECT_EQ(SerializeCheckpoint(parsed), Ka10048Checkpoint());
+}
+
+TEST(CheckpointHostileInputTest, DamagedFieldIsRejectedByPath) {
+  ExpectDamageRejected(
+      Ka10048Checkpoint(),
+      {
+          // The first three loaded without complaint before the strict
+          // reader: the resumed search forgot its tried set, restarted at
+          // round 1, or narrowed the window to a negative int.
+          {R"("tried": \[)", R"("tried": 5, "was": [)",
+           "checkpoint.strategy.tried: expected array, found integer"},
+          {R"("rounds_completed": 4)", R"("rounds_completed": "4")",
+           "checkpoint.rounds_completed: expected integer, found string"},
+          {R"("window_size": \d+)", R"("window_size": 1000000000000)",
+           "checkpoint.strategy.window_size: 1000000000000 does not fit int"},
+          {R"("site": -?\d+)", R"("site": 4294967296)",
+           "checkpoint.strategy.tried[0].site: 4294967296 does not fit int"},
+          {R"("retry_rng_draws": "\d+",)", "", "checkpoint: no retry_rng_draws string"},
+          {R"("hung_rounds": \d+,)", "", "checkpoint.experiment: no hung_rounds integer"},
+          {R"(("tried": \[\s*(\{[^}]*\},\s*){3}\{\s*"site": -?\d+,\s*"occurrence": )(\d+))",
+           R"($1"$4")", "checkpoint.strategy.tried[3].occurrence: expected integer, found string"},
+          {R"("base_seed": "\d+")", R"("base_seed": "12abc")",
+           R"(checkpoint.base_seed: "12abc" is not a decimal uint64)"},
+          {R"("base_seed": "\d+")", R"("base_seed": "-1")",
+           R"(checkpoint.base_seed: "-1" is not a decimal uint64)"},
+          {R"("base_seed": "\d+")", R"("base_seed": "18446744073709551616")",
+           R"(checkpoint.base_seed: "18446744073709551616" is not a decimal uint64)"},
+          {R"("total_run_wall_seconds": [^,]+)", R"("total_run_wall_seconds": "fast")",
+           "checkpoint.experiment.total_run_wall_seconds: expected number, found string"},
+          {R"("kind": "[a-z]+")", R"("kind": "teleport")",
+           R"(checkpoint.strategy.tried[0]: unknown fault kind "teleport")"},
+          {R"re(("counters": \{\s*"([^"]+)": )\d+)re", R"($1"7")",
+           "checkpoint.metrics.counters.explore.context_builds: expected integer, found "
+           "string"},
+          {R"re(("buckets": \{\s*)"\d+")re", R"($1"99")",
+           "checkpoint.metrics.histograms.explore.context_candidates.buckets: bucket \"99\" "
+           "is not an integer in [0, 65)"},
+      },
+      [](const std::string& text, std::string* error) {
+        SearchCheckpoint out;
+        return ParseCheckpoint(text, &out, error);
+      });
+}
+
+TEST(CheckpointTest, MetricsErrorNamesTheCheckpointPath) {
+  SearchCheckpoint snap;
+  snap.has_metrics = true;
+  snap.metrics.counters.emplace_back("explore.rounds", 3);
+  std::string text = SerializeCheckpoint(snap);
+  const std::string key = "\"explore.rounds\": 3";
+  const size_t at = text.find(key);
+  ASSERT_NE(at, std::string::npos);
+  text.replace(at, key.size(), "\"explore.rounds\": true");
+  SearchCheckpoint out;
+  std::string error;
+  EXPECT_FALSE(ParseCheckpoint(text, &out, &error));
+  EXPECT_EQ(error, "checkpoint.metrics.counters.explore.rounds: expected integer, found boolean");
 }
 
 // --- resume preconditions -------------------------------------------------------

@@ -28,6 +28,7 @@
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/systems/common.h"
+#include "src/util/file.h"
 #include "tests/golden_digests.h"
 #include "tests/test_util.h"
 
@@ -209,6 +210,58 @@ TEST(FaultChainTest, MidChainKillResumeIsByteIdentical) {
   // Same mid-chain kill, parallel engine.
   ExpectChainResumeMatchesUninterrupted("casc-retry-1", 8,
                                         phase1_rounds + final_rounds - 1, baseline);
+}
+
+// Every checkpoint a chain search writes, at every round across its phases,
+// parses and re-serializes to its exact bytes; damage inside the chain block
+// is rejected by path before the chain hash is checked.
+TEST(FaultChainTest, EveryRoundOfAChainSearchCheckpointReserializesByteIdentically) {
+  const systems::FailureCase* failure_case = systems::FindCase("casc-retry-1");
+  ASSERT_NE(failure_case, nullptr);
+  systems::BuiltCase built = systems::BuildCase(*failure_case);
+  ExplorerOptions options = OptionsForCase(*failure_case, 1);
+  options.max_rounds = kPhaseRounds;
+  const ChainResult baseline = RunChain(built, options);
+  ASSERT_TRUE(baseline.reproduced);
+  ASSERT_GE(baseline.chain.steps.size(), 2u);
+  const std::string path = TempPath("chain_fixed_point.json");
+  std::string mid_chain;  // a checkpoint with an accepted step
+  for (int rounds = 1; rounds < baseline.total_rounds; ++rounds) {
+    SCOPED_TRACE("after round " + std::to_string(rounds));
+    ExplorerOptions truncated = options;
+    truncated.max_total_rounds = rounds;
+    RunChain(built, truncated, 3, CheckpointConfig{path, nullptr});
+    std::string text;
+    ASSERT_TRUE(ReadFileToString(path, &text));
+    SearchCheckpoint parsed;
+    std::string error;
+    ASSERT_TRUE(ParseCheckpoint(text, &parsed, &error)) << error;
+    EXPECT_EQ(SerializeCheckpoint(parsed), text);
+    if (!parsed.chain.steps.empty() && !parsed.chain.round_candidates.empty()) {
+      mid_chain = text;
+    }
+  }
+  std::remove(path.c_str());
+  ASSERT_FALSE(mid_chain.empty());
+
+  ExpectDamageRejected(
+      mid_chain,
+      {
+          {R"("seed": "\d+")", R"("seed": "12abc")",
+           R"(checkpoint.chain.steps[0].seed: "12abc" is not a decimal uint64)"},
+          {R"("rounds": \d+)", R"("rounds": 4294967302)",
+           "checkpoint.chain.steps[0].rounds: 4294967302 does not fit int"},
+          {R"("stitched_observables": \[)", R"("stitched_observables": {}, "was": [)",
+           "checkpoint.chain.steps[0].stitched_observables: expected array, found object"},
+          {R"("present_observables": \d+)", R"("present_observables": "1")",
+           "checkpoint.chain.round_candidates[0].present_observables: expected integer, found "
+           "string"},
+          {R"("phase": \d+,)", "", "checkpoint.chain: no phase integer"},
+      },
+      [](const std::string& text, std::string* error) {
+        SearchCheckpoint out;
+        return ParseCheckpoint(text, &out, error);
+      });
 }
 
 // The CLI's pre-resume check: a mid-chain checkpoint resumes under the same
@@ -413,6 +466,65 @@ TEST_F(SignatureTest, SerializationRoundTripsAndRejectsTampering) {
   error.clear();
   EXPECT_FALSE(ParseSignature(tampered, &out, &error));
   EXPECT_NE(error.find("hash"), std::string::npos) << error;
+}
+
+TEST_F(SignatureTest, MinimizedSignatureReserializesByteIdentically) {
+  const std::string text = SerializeSignature(MinimizeSignature(built_.spec, signature_));
+  FaultSignature parsed;
+  std::string error;
+  ASSERT_TRUE(ParseSignature(text, &parsed, &error)) << error;
+  EXPECT_TRUE(parsed.minimized);
+  EXPECT_EQ(SerializeSignature(parsed), text);
+}
+
+// The committed signatures are the shipped reproductions: each parses and
+// re-saves to its exact bytes.
+TEST(CommittedSignatureTest, EveryCommittedSignatureRoundTripsToItsBytes) {
+  const std::string dir = std::string(ANDURIL_GOLDEN_DIR) + "/../../signatures";
+  int files = 0;
+  for (const systems::FailureCase& failure_case : systems::CascadeCases()) {
+    const std::string path = dir + "/" + failure_case.id + ".json";
+    std::string text;
+    if (!ReadFileToString(path, &text)) {
+      continue;
+    }
+    SCOPED_TRACE(path);
+    ++files;
+    FaultSignature parsed;
+    std::string error;
+    ASSERT_TRUE(LoadSignatureFile(path, &parsed, &error)) << error;
+    EXPECT_EQ(parsed.case_id, failure_case.id);
+    EXPECT_EQ(SerializeSignature(parsed) + "\n", text);  // SaveSignatureFile's bytes
+  }
+  EXPECT_EQ(files, 3);
+}
+
+// One edit of a real signature (first match of the pattern) is rejected by
+// path before the content hash is checked.
+TEST_F(SignatureTest, DamagedFieldIsRejectedByPath) {
+  ExpectDamageRejected(
+      SerializeSignature(signature_),
+      {
+          {R"("case_id": "[^"]*",)", "", "signature: no case_id string"},
+          {R"("minimized": false)", R"("minimized": 0)",
+           "signature.minimized: expected boolean, found integer"},
+          {R"("occurrence": \d+)", R"("occurrence": "1")",
+           "signature.steps[0].occurrence: expected integer, found string"},
+          {R"("seed": "\d+")", R"("seed": "-1")",
+           R"(signature.steps[0].seed: "-1" is not a decimal uint64)"},
+          {R"("program_fingerprint": "\d+")", R"("program_fingerprint": "18446744073709551616")",
+           R"(signature.program_fingerprint: "18446744073709551616" is not a decimal uint64)"},
+          {R"("kind": "[a-z]+")", R"("kind": "teleport")",
+           R"(signature.steps[0]: unknown fault kind "teleport")"},
+          {R"("retained_tasks": \[\s*"[^"]*")", R"("retained_tasks": [7)",
+           "signature.retained_tasks[0]: expected string, found integer"},
+          {R"("ir_methods": \[)", R"("ir_methods": "all", "was": [)",
+           "signature.ir_methods: expected array, found string"},
+      },
+      [](const std::string& text, std::string* error) {
+        FaultSignature out;
+        return ParseSignature(text, &out, error);
+      });
 }
 
 TEST_F(SignatureTest, SaveLoadFileRoundTrip) {

@@ -1,12 +1,12 @@
 // Golden digest files shared by several test binaries.
 //
-// A digest file under tests/golden/ holds one "<owner> <key...> <hex digest>"
-// line per pinned search, where <owner> names the test binary that checks
-// it, so two binaries can share one file. CheckGoldenDigests compares the
-// owner's lines with freshly computed digests (a missing, drifted or stale
-// line fails the test); with ANDURIL_UPDATE_GOLDENS=1 it rewrites the owner's
-// lines in place instead, leaving other owners' lines untouched (see
-// scripts/update_trace_golden.sh).
+// A digest file under tests/golden/ holds one "<key...> <hex digest>" line
+// per pinned result. In a file shared by several test binaries each key
+// starts with an <owner> word naming the binary that checks the line.
+// CheckGoldenDigests compares the caller's lines with freshly computed
+// digests (a missing, drifted, stale or malformed line fails the test); with
+// ANDURIL_UPDATE_GOLDENS=1 it rewrites the caller's lines in place instead,
+// leaving other owners' lines untouched (see scripts/update_trace_golden.sh).
 
 #ifndef ANDURIL_TESTS_GOLDEN_DIGESTS_H_
 #define ANDURIL_TESTS_GOLDEN_DIGESTS_H_
@@ -82,12 +82,14 @@ inline uint64_t MultiFaultDigest(const ChainResult& result, bool with_step_round
   return h.hash();
 }
 
-// `lines` maps "<key...>" (without the owner) to its digest.
+// `lines` maps "<key...>" (without the owner) to its digest. With an empty
+// `owner` the file has no owner column: every line is the caller's, and an
+// update writes them in `lines` order.
 inline void CheckGoldenDigests(const std::string& file, const std::string& owner,
                                const std::vector<std::pair<std::string, uint64_t>>& lines,
                                const std::string& header) {
   const std::string path = DigestGoldenPath(file);
-  std::map<std::string, std::string> golden;  // owner's "<key...>" -> digest
+  std::map<std::string, std::string> golden;  // caller's "<key...>" -> digest
   std::map<std::string, std::string> others;  // other owners' full lines
   {
     std::ifstream in(path, std::ios::binary);
@@ -97,9 +99,11 @@ inline void CheckGoldenDigests(const std::string& file, const std::string& owner
         continue;
       }
       const size_t cut = line.rfind(' ');
-      const size_t owner_end = line.find(' ');
+      const size_t owner_end = owner.empty() ? std::string::npos : line.find(' ');
       ASSERT_NE(cut, std::string::npos) << "malformed golden line: " << line;
-      if (line.substr(0, owner_end) == owner) {
+      if (owner.empty()) {
+        golden[line.substr(0, cut)] = line.substr(cut + 1);
+      } else if (line.substr(0, owner_end) == owner) {
         golden[line.substr(owner_end + 1, cut - owner_end - 1)] = line.substr(cut + 1);
       } else {
         others[line.substr(0, cut)] = line.substr(cut + 1);
@@ -107,14 +111,20 @@ inline void CheckGoldenDigests(const std::string& file, const std::string& owner
     }
   }
   if (UpdateDigestGoldens()) {
-    std::map<std::string, std::string> all = others;
-    for (const auto& [key, digest] : lines) {
-      all[owner + " " + key] = DigestHex(digest);
-    }
     std::ofstream out(path, std::ios::trunc | std::ios::binary);
     out << header;
-    for (const auto& [key, digest] : all) {
-      out << key << " " << digest << "\n";
+    if (owner.empty()) {
+      for (const auto& [key, digest] : lines) {
+        out << key << " " << DigestHex(digest) << "\n";
+      }
+    } else {
+      std::map<std::string, std::string> all = others;
+      for (const auto& [key, digest] : lines) {
+        all[owner + " " + key] = DigestHex(digest);
+      }
+      for (const auto& [key, digest] : all) {
+        out << key << " " << digest << "\n";
+      }
     }
     ASSERT_TRUE(out.good()) << "cannot write golden " << path;
     return;
@@ -124,16 +134,16 @@ inline void CheckGoldenDigests(const std::string& file, const std::string& owner
   for (const auto& [key, digest] : lines) {
     auto it = golden.find(key);
     if (it == golden.end()) {
-      ADD_FAILURE() << "search '" << key << "' has no golden digest in " << path;
+      ADD_FAILURE() << "'" << key << "' has no golden digest in " << path;
       continue;
     }
     EXPECT_EQ(DigestHex(digest), it->second)
-        << "search '" << key << "' drifted from " << path
+        << "'" << key << "' drifted from " << path
         << "; if intentional, run scripts/update_trace_golden.sh";
     golden.erase(it);
   }
   for (const auto& [key, digest] : golden) {
-    ADD_FAILURE() << "golden digest '" << owner << " " << key << "' has no matching search";
+    ADD_FAILURE() << "golden digest '" << key << "' in " << path << " has no match";
   }
 }
 

@@ -24,12 +24,7 @@
 
 #include <gtest/gtest.h>
 
-#include <cinttypes>
-#include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <map>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -41,17 +36,11 @@
 #include "src/obs/metrics.h"
 #include "src/systems/common.h"
 #include "src/util/hash.h"
+#include "tests/golden_digests.h"
 #include "tests/test_util.h"
 
 namespace anduril {
 namespace {
-
-std::string GoldenPath() { return std::string(ANDURIL_GOLDEN_DIR) + "/interp_digests.txt"; }
-
-bool UpdateGoldens() {
-  const char* env = std::getenv("ANDURIL_UPDATE_GOLDENS");
-  return env != nullptr && std::string(env) == "1";
-}
 
 // One golden line: "<case> <input> <field> <digest>".
 struct DigestLine {
@@ -263,71 +252,16 @@ void DigestSearch(const std::string& case_id, DigestSink* sink) {
   sink->push_back(DigestLine{case_id, "search", "script", script.hash()});
 }
 
-std::string Hex(uint64_t value) {
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016" PRIx64, value);
-  return buf;
-}
-
-std::string Render(const std::vector<DigestLine>& lines) {
-  std::string out =
+void CompareOrUpdate(const DigestSink& sink) {
+  std::vector<std::pair<std::string, uint64_t>> lines;
+  for (const DigestLine& line : sink) {
+    lines.emplace_back(line.Key(), line.digest);
+  }
+  explorer::CheckGoldenDigests(
+      "interp_digests.txt", "", lines,
       "# Interpreter RunResult digests (FNV-1a per field group), one line per\n"
       "# <case> <input> <field> <digest>. Written by interp_equivalence_test;\n"
-      "# refresh with scripts/update_trace_golden.sh.\n";
-  for (const DigestLine& line : lines) {
-    out += line.Key() + " " + Hex(line.digest) + "\n";
-  }
-  return out;
-}
-
-// Golden key -> digest text; reports malformed lines through gtest.
-std::map<std::string, std::string> LoadGolden(const std::string& text) {
-  std::map<std::string, std::string> golden;
-  std::istringstream in(text);
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty() || line[0] == '#') {
-      continue;
-    }
-    size_t cut = line.rfind(' ');
-    if (cut == std::string::npos) {
-      ADD_FAILURE() << "malformed golden line: " << line;
-      continue;
-    }
-    golden[line.substr(0, cut)] = line.substr(cut + 1);
-  }
-  return golden;
-}
-
-void CompareOrUpdate(const DigestSink& sink) {
-  const std::string path = GoldenPath();
-  if (UpdateGoldens()) {
-    std::ofstream out(path, std::ios::trunc | std::ios::binary);
-    out << Render(sink);
-    ASSERT_TRUE(out.good()) << "cannot write golden " << path;
-    return;
-  }
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream text;
-  text << in.rdbuf();
-  std::map<std::string, std::string> golden = LoadGolden(text.str());
-  ASSERT_FALSE(golden.empty())
-      << "golden file " << path << " missing; run scripts/update_trace_golden.sh";
-  for (const DigestLine& line : sink) {
-    auto it = golden.find(line.Key());
-    if (it == golden.end()) {
-      ADD_FAILURE() << "case " << line.case_id << ", input " << line.input << ", field "
-                    << line.field << ": no golden digest in " << path;
-      continue;
-    }
-    EXPECT_EQ(Hex(line.digest), it->second)
-        << "case " << line.case_id << ", input " << line.input << ", field " << line.field
-        << " drifted from " << path << "; if intentional, run scripts/update_trace_golden.sh";
-    golden.erase(it);
-  }
-  for (const auto& [key, digest] : golden) {
-    ADD_FAILURE() << "golden digest '" << key << "' has no matching run";
-  }
+      "# refresh with scripts/update_trace_golden.sh.\n");
 }
 
 TEST(InterpEquivalence, RunResultsMatchGoldenDigests) {

@@ -11,10 +11,14 @@
 #include <thread>
 #include <vector>
 
+#include "src/explorer/explorer.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
+#include "src/systems/common.h"
+#include "src/systems/harness.h"
 #include "src/util/json.h"
 #include "src/util/rng.h"
+#include "tests/test_util.h"
 
 namespace anduril::obs {
 namespace {
@@ -256,6 +260,104 @@ TEST(ObsPropertyTest, MetricsParseRejectsTruncatedAndUnknownVersion) {
   error.clear();
   EXPECT_FALSE(ParseMetricsJson("{\"anduril_metrics\": 999}", &out, &error));
   EXPECT_NE(error.find("999"), std::string::npos) << error;
+}
+
+// --- files a real run writes: fixed point and hostile input ----------------------
+
+// A zk-2247 search traced and metered end to end.
+struct TracedRun {
+  TracedRun() {
+    const systems::FailureCase* failure_case = systems::FindCase("zk-2247");
+    EXPECT_NE(failure_case, nullptr);
+    systems::BuiltCase built = systems::BuildCase(*failure_case);
+    explorer::ExplorerOptions options = systems::OptionsForCase(*failure_case, 1);
+    options.tracer = &tracer;
+    options.metrics = &metrics;
+    EXPECT_TRUE(systems::RunSearch(built, options).reproduced);
+  }
+  Tracer tracer;
+  MetricsRegistry metrics;
+};
+
+const TracedRun& Zk2247Run() {
+  static const TracedRun* run = new TracedRun;
+  return *run;
+}
+
+// Re-dumps parsed events through a fresh tracer.
+std::string Redump(const std::vector<TraceEvent>& events, bool include_wall) {
+  Tracer tracer;
+  for (const TraceEvent& event : events) {
+    if (event.kind == TraceEvent::Kind::kSpan) {
+      tracer.Span(event.category, event.name, event.ts, event.dur, event.track, event.args,
+                  event.wall_nanos);
+    } else {
+      tracer.Instant(event.category, event.name, event.ts, event.track, event.args);
+    }
+  }
+  return tracer.DumpJsonl(include_wall);
+}
+
+TEST(ObsFixedPointTest, TracedRunJsonlAndMetricsReserializeByteIdentically) {
+  for (bool include_wall : {false, true}) {
+    SCOPED_TRACE(include_wall ? "with wall time" : "logical");
+    const std::string text = Zk2247Run().tracer.DumpJsonl(include_wall);
+    std::vector<TraceEvent> events;
+    std::string error;
+    ASSERT_TRUE(Tracer::ParseJsonl(text, &events, &error)) << error;
+    EXPECT_GT(events.size(), 10u);
+    EXPECT_EQ(Redump(events, include_wall), text);
+  }
+  const std::string metrics_text = Zk2247Run().metrics.DumpJson();
+  MetricsSnapshot snapshot;
+  std::string error;
+  ASSERT_TRUE(ParseMetricsJson(metrics_text, &snapshot, &error)) << error;
+  MetricsRegistry reloaded;
+  reloaded.Restore(snapshot);
+  EXPECT_EQ(reloaded.DumpJson(), metrics_text);
+}
+
+TEST(ObsHostileInputTest, DamagedTraceFieldIsRejectedByPath) {
+  ExpectDamageRejected(
+      Zk2247Run().tracer.DumpJsonl(/*include_wall=*/true),
+      {
+          {R"("ts":(\d+))", R"("ts":"$1")", "trace line 2.ts: expected integer, found string"},
+          {R"("track":\d+)", R"("track":1.5)",
+           "trace line 2.track: expected integer, found number"},
+          {R"("cat":"[^"]*",)", "", "trace line 2: no cat string"},
+          {R"(,"dur":\d+)", "", "trace line 2: no dur integer"},
+          {R"("ph":"X")", R"("ph":"B")", R"(trace line 2: unknown phase "B")"},
+          {R"("wall_nanos":(\d+))", R"("wall_nanos":"$1")",
+           "trace line 3.wall_nanos: expected integer, found string"},
+          {R"("args":\{)", R"("args":[],"was":{)",
+           "trace line 2.args: expected object, found array"},
+          {R"re(("args":\{"[a-z_]+":)("[^"]*"|[^,}]+))re", R"($1[1])",
+           "trace line 2.args.strategy: expected integer, found array"},
+      },
+      [](const std::string& text, std::string* error) {
+        std::vector<TraceEvent> out;
+        return Tracer::ParseJsonl(text, &out, error);
+      });
+}
+
+TEST(ObsHostileInputTest, DamagedMetricsFieldIsRejectedByPath) {
+  ExpectDamageRejected(
+      Zk2247Run().metrics.DumpJson(),
+      {
+          {R"("counters": \{)", R"("was": {)", "metrics: no counters object"},
+          {R"re(("counters": \{\s*"([^"]+)": )(\d+))re", R"($1"$3")",
+           "metrics.counters.explore.context_builds: expected integer, found string"},
+          {R"re(("histograms": \{\s*"[^"]+": )\{)re", R"($1[], "was": {)",
+           "metrics.histograms.explore.context_candidates: expected object, found array"},
+          {R"("sum": -?\d+,)", "", "metrics.histograms.explore.context_candidates: no sum integer"},
+          {R"re(("buckets": \{\s*)"\d+")re", R"($1"65")",
+           "metrics.histograms.explore.context_candidates.buckets: bucket \"65\" is not an "
+           "integer in [0, 65)"},
+      },
+      [](const std::string& text, std::string* error) {
+        MetricsSnapshot out;
+        return ParseMetricsJson(text, &out, error);
+      });
 }
 
 TEST(ObsPropertyTest, HistogramBucketsAreBitWidths) {

@@ -16,12 +16,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cinttypes>
 #include <cstdint>
-#include <cstdio>
-#include <cstdlib>
-#include <fstream>
-#include <map>
 #include <memory>
 #include <optional>
 #include <random>
@@ -38,6 +33,7 @@
 #include "src/systems/common.h"
 #include "src/util/arena.h"
 #include "src/util/hash.h"
+#include "tests/golden_digests.h"
 #include "tests/test_util.h"
 
 namespace anduril::explorer {
@@ -324,21 +320,6 @@ TEST(PriorityEngineOracleTest, SeedSweep) {
 // with the strategy and case. Refresh after an intentional change with
 // scripts/update_trace_golden.sh (ANDURIL_UPDATE_GOLDENS=1).
 
-std::string StrategyGoldenPath() {
-  return std::string(ANDURIL_GOLDEN_DIR) + "/strategy_digests.txt";
-}
-
-bool UpdateGoldens() {
-  const char* env = std::getenv("ANDURIL_UPDATE_GOLDENS");
-  return env != nullptr && std::string(env) == "1";
-}
-
-std::string Hex(uint64_t value) {
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016" PRIx64, value);
-  return buf;
-}
-
 // Searches `failure_case` with `strategy` on one thread, tracking the ground
 // truth, and digests the result. The host wall-clock watchdog is disabled so
 // a slow (sanitizer) build cannot turn a round into a retry.
@@ -394,46 +375,12 @@ TEST(StrategyGoldenTest, SearchesMatchGoldenDigests) {
     }
   }
 
-  const std::string path = StrategyGoldenPath();
-  if (UpdateGoldens()) {
-    std::ofstream out(path, std::ios::trunc | std::ios::binary);
-    out << "# Search digests (FNV-1a over reproduced, rounds, script text and seed, and\n"
-           "# per-round injected/candidate/present observables/tracked rank), one line\n"
-           "# per <strategy> <case> <digest>. Written by priority_engine_test; refresh\n"
-           "# with scripts/update_trace_golden.sh.\n";
-    for (const auto& [key, digest] : lines) {
-      out << key << " " << Hex(digest) << "\n";
-    }
-    ASSERT_TRUE(out.good()) << "cannot write golden " << path;
-    return;
-  }
-  std::ifstream in(path, std::ios::binary);
-  std::map<std::string, std::string> golden;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty() || line[0] == '#') {
-      continue;
-    }
-    size_t cut = line.rfind(' ');
-    ASSERT_NE(cut, std::string::npos) << "malformed golden line: " << line;
-    golden[line.substr(0, cut)] = line.substr(cut + 1);
-  }
-  ASSERT_FALSE(golden.empty())
-      << "golden file " << path << " missing; run scripts/update_trace_golden.sh";
-  for (const auto& [key, digest] : lines) {
-    auto it = golden.find(key);
-    if (it == golden.end()) {
-      ADD_FAILURE() << "search '" << key << "' has no golden digest in " << path;
-      continue;
-    }
-    EXPECT_EQ(Hex(digest), it->second)
-        << "search '" << key << "' drifted from " << path
-        << "; if intentional, run scripts/update_trace_golden.sh";
-    golden.erase(it);
-  }
-  for (const auto& [key, digest] : golden) {
-    ADD_FAILURE() << "golden digest '" << key << "' has no matching search";
-  }
+  CheckGoldenDigests(
+      "strategy_digests.txt", "", lines,
+      "# Search digests (FNV-1a over reproduced, rounds, script text and seed, and\n"
+      "# per-round injected/candidate/present observables/tracked rank), one line\n"
+      "# per <strategy> <case> <digest>. Written by priority_engine_test; refresh\n"
+      "# with scripts/update_trace_golden.sh.\n");
 }
 
 // --- storm-scale candidate space -------------------------------------------------

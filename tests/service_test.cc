@@ -22,6 +22,7 @@
 #include <tuple>
 #include <vector>
 
+#include "src/obs/metrics.h"
 #include "src/service/context_cache.h"
 #include "src/service/daemon.h"
 #include "src/service/manifest.h"
@@ -260,6 +261,159 @@ TEST(WorkTest, UnitAndResultRoundTrip) {
   EXPECT_EQ(result, result_parsed);
 
   EXPECT_FALSE(ParseWorkResult("{\"status\": \"bogus\"}", &result_parsed, &error));
+}
+
+// ---------------------------------------------------------------------------
+// Files a real queue writes: fixed point and hostile input
+
+class QueueFilesTest : public ::testing::Test {
+ protected:
+  // A finished two-case queue (one plain case, one chain case).
+  static void SetUpTestSuite() {
+    dir_ = new std::string(FreshStateDir("service_queue_files"));
+    const ServeReport report = RunService(BaseOptions(
+        *dir_, {MakeCase("zk-2247", 2000), MakeCase("casc-retry-1", 2000, /*chain=*/true)}));
+    ASSERT_FALSE(report.error) << report.error_text;
+    ASSERT_EQ(report.manifest.CountState(CaseState::kReproduced), 2);
+  }
+  static void TearDownTestSuite() { delete dir_; }
+
+  static std::string* dir_;
+};
+
+std::string* QueueFilesTest::dir_ = nullptr;
+
+TEST_F(QueueFilesTest, ManifestAndMetricsReserializeByteIdentically) {
+  const std::string manifest_text = ReadFileOrDie(ManifestPath(*dir_));
+  QueueManifest manifest;
+  std::string error;
+  ASSERT_TRUE(ParseManifest(manifest_text, &manifest, &error)) << error;
+  EXPECT_EQ(SerializeManifest(manifest), manifest_text);
+
+  std::vector<std::string> metrics_files = {MergedMetricsPath(*dir_)};
+  for (const QueueCase& entry : manifest.cases) {
+    metrics_files.push_back(CaseMetricsPath(*dir_, entry.id));
+  }
+  for (const std::string& path : metrics_files) {
+    SCOPED_TRACE(path);
+    const std::string text = ReadFileOrDie(path);
+    obs::MetricsSnapshot snapshot;
+    ASSERT_TRUE(obs::ParseMetricsJson(text, &snapshot, &error)) << error;
+    EXPECT_FALSE(snapshot.empty());
+    obs::MetricsRegistry registry;
+    registry.Restore(snapshot);
+    EXPECT_EQ(registry.DumpJson(), text);
+  }
+}
+
+TEST_F(QueueFilesTest, DamagedManifestIsRejectedByPath) {
+  ExpectDamageRejected(
+      ReadFileOrDie(ManifestPath(*dir_)),
+      {
+          {R"("slice_rounds": \d+,)", "", "manifest: no slice_rounds integer"},
+          {R"("cases": \[)", R"("cases": {}, "was": [)",
+           "manifest.cases: expected array, found object"},
+          {R"("rounds_done": \d+)", R"("rounds_done": "9")",
+           "manifest.cases[0].rounds_done: expected integer, found string"},
+          {R"("crashes": \d+)", R"("crashes": 4294967296)",
+           "manifest.cases[0].crashes: 4294967296 does not fit int"},
+          {R"("state": "[a-z]+")", R"("state": "lost")", R"(manifest.cases[0]: unknown state "lost")"},
+          {R"("script_seed": "\d+")", R"("script_seed": "12abc")",
+           R"(manifest.cases[0].script_seed: "12abc" is not a decimal uint64)"},
+          {R"(,\s*"script_seed": "\d+")", "", "manifest.cases[0]: no script_seed string"},
+          {R"("integrity": "\d+")", R"("integrity": 5)",
+           "manifest.integrity: expected string, found integer"},
+      },
+      [](const std::string& text, std::string* error) {
+        QueueManifest out;
+        return ParseManifest(text, &out, error);
+      });
+}
+
+TEST_F(QueueFilesTest, DamagedCaseMetricsAreRejectedByPath) {
+  ExpectDamageRejected(
+      ReadFileOrDie(CaseMetricsPath(*dir_, "zk-2247")),
+      {
+          {R"("gauges": \{)", R"("gauges": [], "was": {)",
+           "metrics.gauges: expected object, found array"},
+          {R"(("count": )\d+)", R"($1-1.5)",
+           "metrics.histograms.explore.context_candidates.count: expected integer, found number"},
+          {R"re(("buckets": \{\s*)"\d+")re", R"($1"1x")",
+           "metrics.histograms.explore.context_candidates.buckets: bucket \"1x\" is not an "
+           "integer in [0, 65)"},
+          {R"re(("buckets": \{\s*)"\d+")re", R"($1"-1")",
+           "metrics.histograms.explore.context_candidates.buckets: bucket \"-1\" is not an "
+           "integer in [0, 65)"},
+      },
+      [](const std::string& text, std::string* error) {
+        obs::MetricsSnapshot out;
+        return obs::ParseMetricsJson(text, &out, error);
+      });
+}
+
+// A work unit as the daemon writes it, and the result of the real slice it
+// asks for.
+TEST(WorkTest, RealUnitAndResultReserializeAndRejectDamage) {
+  const std::string dir = FreshStateDir("service_work_files");
+  WorkUnit unit;
+  unit.case_id = "zk-2247";
+  unit.slice_rounds = 6;
+  unit.round_budget = 2000;
+  unit.checkpoint_path = CaseCheckpointPath(dir, unit.case_id);
+  unit.metrics_path = CaseMetricsPath(dir, unit.case_id);
+  unit.daemon_pid = getpid();
+  ContextCache cache;
+  const WorkResult result = RunSlice(&cache, unit, nullptr);
+  ASSERT_EQ(result.status, SliceStatus::kReproduced) << result.error;
+
+  const std::string unit_text = SerializeWorkUnit(unit);
+  const std::string result_text = SerializeWorkResult(result);
+  WorkUnit unit_parsed;
+  WorkResult result_parsed;
+  std::string error;
+  ASSERT_TRUE(ParseWorkUnit(unit_text, &unit_parsed, &error)) << error;
+  EXPECT_EQ(SerializeWorkUnit(unit_parsed), unit_text);
+  ASSERT_TRUE(ParseWorkResult(result_text, &result_parsed, &error)) << error;
+  EXPECT_EQ(SerializeWorkResult(result_parsed), result_text);
+
+  ExpectDamageRejected(
+      unit_text,
+      {
+          // Loaded as 6 before the strict reader: the int cast dropped the
+          // high bits.
+          {R"("slice_rounds": \d+)", R"("slice_rounds": 4294967302)",
+           "work_unit.slice_rounds: 4294967302 does not fit int"},
+          {R"("case_id": "[^"]*",)", "", "work_unit: no case_id string"},
+          {R"("case_id": "[^"]*")", R"("case_id": "")", "work_unit: empty case_id"},
+          {R"("chain": false)", R"("chain": 0)", "work_unit.chain: expected boolean, found integer"},
+          {R"("daemon_pid": \d+)", R"("daemon_pid": "1")",
+           "work_unit.daemon_pid: expected integer, found string"},
+          {R"("metrics_path": "[^"]*",)", "", "work_unit: no metrics_path string"},
+      },
+      [](const std::string& text, std::string* error) {
+        WorkUnit out;
+        return ParseWorkUnit(text, &out, error);
+      });
+  ExpectDamageRejected(
+      result_text,
+      {
+          {R"("status": "[a-z_]+")", R"("status": "bogus")", R"(work_result: unknown status "bogus")"},
+          {R"("rounds_done": \d+)", R"("rounds_done": 1e3)",
+           "work_result.rounds_done: expected integer, found number"},
+          {R"("script_seed": "\d+")", R"("script_seed": "12abc")",
+           R"(work_result.script_seed: "12abc" is not a decimal uint64)"},
+          {R"("script_seed": "\d+")", R"("script_seed": "-1")",
+           R"(work_result.script_seed: "-1" is not a decimal uint64)"},
+          {R"("script_seed": "\d+")", R"("script_seed": "18446744073709551616")",
+           R"(work_result.script_seed: "18446744073709551616" is not a decimal uint64)"},
+          {R"("daemon_pid": (\d+))", R"("daemon_pid": $1, "error": 5)",
+           "work_result.error: expected string, found integer"},
+      },
+      [](const std::string& text, std::string* error) {
+        WorkResult out;
+        return ParseWorkResult(text, &out, error);
+      });
+  fs::remove_all(dir);
 }
 
 // ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <regex>
 #include <string>
 #include <utility>
 #include <vector>
@@ -85,5 +86,39 @@ using systems::OptionsForCase;
 using systems::RunSearch;
 
 }  // namespace anduril::explorer
+
+namespace anduril {
+
+// One edit of a file a real run wrote: the first match of the regex
+// `pattern` becomes `replacement` (std::regex_replace format), and the
+// file's parser must reject the result with exactly `expected`.
+struct Damage {
+  const char* pattern;
+  const char* replacement;
+  const char* expected;
+};
+
+// `text` with `damage` applied; fails the test when the pattern matches
+// nothing.
+inline std::string Damaged(const std::string& text, const Damage& damage) {
+  const std::regex pattern(damage.pattern);
+  EXPECT_TRUE(std::regex_search(text, pattern)) << damage.pattern;
+  return std::regex_replace(text, pattern, damage.replacement,
+                            std::regex_constants::format_first_only);
+}
+
+// Expects `parse(damaged_text, &error)` to fail with each damage's error.
+template <typename Parse>
+void ExpectDamageRejected(const std::string& text, const std::vector<Damage>& damages,
+                          Parse parse) {
+  for (const Damage& damage : damages) {
+    SCOPED_TRACE(damage.pattern);
+    std::string error;
+    EXPECT_FALSE(parse(Damaged(text, damage), &error));
+    EXPECT_EQ(error, damage.expected);
+  }
+}
+
+}  // namespace anduril
 
 #endif  // ANDURIL_TESTS_TEST_UTIL_H_

@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <filesystem>
 #include <limits>
@@ -442,6 +443,139 @@ TEST(Json, DeepNestingIsRejectedWithoutExhaustingTheStack) {
   EXPECT_NE(JsonError(std::string(2'000'000, '[')).find("nesting deeper than 64 levels"),
             std::string::npos);
   EXPECT_NE(JsonError(std::string(2'000'000, '{')).find("expected '\"'"), std::string::npos);
+}
+
+// --- strict reader -------------------------------------------------------------
+
+JsonValue ParseOk(const std::string& text) {
+  std::string error;
+  JsonValue value = JsonValue::Parse(text, &error);
+  EXPECT_EQ(error, "") << text;
+  return value;
+}
+
+TEST(JsonReader, ReadsEveryTypeAndNamesNothingOnSuccess) {
+  JsonValue doc = ParseOk(
+      R"({"s": "x", "b": true, "i": -7, "big": 9223372036854775807, "u": "18446744073709551615",
+          "d": 0.5, "whole": 2, "nan": null, "o": {"k": 1}, "a": [3, "y", {"z": false}],
+          "unknown": [1, 2]})");
+  std::string error = "stale";
+  JsonReader in(doc, "doc", &error);
+  EXPECT_EQ(error, "");
+  EXPECT_EQ(in.Str("s"), "x");
+  EXPECT_TRUE(in.Bool("b"));
+  EXPECT_EQ(in.Int("i"), -7);
+  EXPECT_EQ(in.Int64("big"), std::numeric_limits<int64_t>::max());
+  EXPECT_EQ(in.U64("u"), std::numeric_limits<uint64_t>::max());
+  EXPECT_EQ(in.Double("d"), 0.5);
+  EXPECT_EQ(in.Double("whole"), 2.0);  // Dump writes an integral double without a point
+  EXPECT_TRUE(std::isnan(in.Double("nan")));
+  EXPECT_EQ(in.Object("o").Int("k"), 1);
+  JsonReader array = in.Array("a");
+  ASSERT_EQ(array.size(), 3u);
+  EXPECT_EQ(array.Int(size_t{0}), 3);
+  EXPECT_EQ(array.Str(size_t{1}), "y");
+  EXPECT_FALSE(array.Object(size_t{2}).Bool("z"));
+  JsonReader object = in.Object("o");
+  ASSERT_EQ(object.size(), 1u);
+  EXPECT_EQ(object.Name(0), "k");
+  EXPECT_EQ(object.Int64(size_t{0}), 1);
+  EXPECT_TRUE(in.Has("s"));
+  EXPECT_FALSE(in.Has("missing"));
+  EXPECT_TRUE(in.ok()) << error;
+}
+
+// Reading the document `text` with `read` fails with exactly `expected`.
+struct ReaderCase {
+  const char* name;
+  const char* text;
+  void (*read)(JsonReader* in);
+  const char* expected;
+};
+
+class JsonReaderRejectsTest : public ::testing::TestWithParam<ReaderCase> {};
+
+TEST_P(JsonReaderRejectsTest, NamesThePath) {
+  JsonValue doc = ParseOk(GetParam().text);
+  std::string error;
+  JsonReader in(doc, "doc", &error);
+  GetParam().read(&in);
+  EXPECT_FALSE(in.ok());
+  EXPECT_EQ(error, GetParam().expected);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Cases, JsonReaderRejectsTest,
+    ::testing::Values(
+        ReaderCase{"NotAnObject", "[1]", [](JsonReader*) {}, "doc: expected object, found array"},
+        ReaderCase{"Missing", "{}", [](JsonReader* in) { in->Int("n"); }, "doc: no n integer"},
+        ReaderCase{"MissingObject", "{}", [](JsonReader* in) { in->Object("engine"); },
+                   "doc: no engine object"},
+        ReaderCase{"WrongType", R"({"n": "4"})", [](JsonReader* in) { in->Int("n"); },
+                   "doc.n: expected integer, found string"},
+        ReaderCase{"DoubleIsNotAnInteger", R"({"n": 1.5})", [](JsonReader* in) { in->Int64("n"); },
+                   "doc.n: expected integer, found number"},
+        ReaderCase{"NullIsNotAString", R"({"s": null})", [](JsonReader* in) { in->Str("s"); },
+                   "doc.s: expected string, found null"},
+        ReaderCase{"IntOverflow", R"({"n": 1000000000000})", [](JsonReader* in) { in->Int("n"); },
+                   "doc.n: 1000000000000 does not fit int"},
+        ReaderCase{"IntUnderflow", R"({"n": -2147483649})", [](JsonReader* in) { in->Int("n"); },
+                   "doc.n: -2147483649 does not fit int"},
+        ReaderCase{"U64TrailingJunk", R"({"u": "12abc"})", [](JsonReader* in) { in->U64("u"); },
+                   "doc.u: \"12abc\" is not a decimal uint64"},
+        ReaderCase{"U64Negative", R"({"u": "-1"})", [](JsonReader* in) { in->U64("u"); },
+                   "doc.u: \"-1\" is not a decimal uint64"},
+        ReaderCase{"U64Overflow", R"({"u": "18446744073709551616"})",
+                   [](JsonReader* in) { in->U64("u"); },
+                   "doc.u: \"18446744073709551616\" is not a decimal uint64"},
+        ReaderCase{"U64Empty", R"({"u": ""})", [](JsonReader* in) { in->U64("u"); },
+                   "doc.u: \"\" is not a decimal uint64"},
+        ReaderCase{"U64Number", R"({"u": 12})", [](JsonReader* in) { in->U64("u"); },
+                   "doc.u: expected string, found integer"},
+        ReaderCase{"ArrayElementPath", R"({"a": {"b": [{"c": 1}, {"c": true}]}})",
+                   [](JsonReader* in) {
+                     JsonReader list = in->Object("a").Array("b");
+                     for (size_t i = 0; i < list.size(); ++i) {
+                       list.Object(i).Int("c");
+                     }
+                   },
+                   "doc.a.b[1].c: expected integer, found boolean"},
+        ReaderCase{"ObjectMemberPath", R"({"m": {"x": 1, "y": "2"}})",
+                   [](JsonReader* in) {
+                     JsonReader members = in->Object("m");
+                     for (size_t i = 0; i < members.size(); ++i) {
+                       members.Int64(i);
+                     }
+                   },
+                   "doc.m.y: expected integer, found string"},
+        ReaderCase{"FirstErrorWins", R"({"b": 1})",
+                   [](JsonReader* in) {
+                     in->Str("a");
+                     in->Bool("b");
+                     in->Fail("later");
+                   },
+                   "doc: no a string"},
+        ReaderCase{"ReadsAfterAFailureAreZero", R"({"n": 5})",
+                   [](JsonReader* in) {
+                     in->Str("missing");
+                     EXPECT_EQ(in->Int("n"), 0);
+                     EXPECT_EQ(in->Object("n").size(), 0u);
+                   },
+                   "doc: no missing string"},
+        ReaderCase{"Fail", R"({})", [](JsonReader* in) { in->Fail("bad state"); },
+                   "doc: bad state"}),
+    [](const ::testing::TestParamInfo<ReaderCase>& info) { return info.param.name; });
+
+TEST(JsonReader, U64WriterRoundTrips) {
+  for (uint64_t value : {uint64_t{0}, uint64_t{1} << 53, std::numeric_limits<uint64_t>::max()}) {
+    JsonValue doc = JsonValue::Object();
+    doc.Set("u", JsonValue::U64(value));
+    JsonValue parsed = ParseOk(doc.Dump());
+    std::string error;
+    JsonReader in(parsed, "doc", &error);
+    EXPECT_EQ(in.U64("u"), value);
+    EXPECT_TRUE(in.ok()) << error;
+  }
 }
 
 // --- files -------------------------------------------------------------------
