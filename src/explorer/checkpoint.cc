@@ -186,13 +186,17 @@ bool ParseCheckpoint(const std::string& text, SearchCheckpoint* out, std::string
     *error = "checkpoint is not a JSON object";
     return false;
   }
-  const JsonValue* version = root.Find("version");
-  if (version == nullptr) {
+  JsonReader in(root, "checkpoint", error);
+  if (!in.Has("version")) {
     *error = "checkpoint has no version field";
     return false;
   }
-  if (version->as_int() != kCheckpointVersion) {
-    if (version->as_int() == 2 && root.Find("chain") != nullptr) {
+  const int64_t version = in.Int64("version");
+  if (!in.ok()) {
+    return false;
+  }
+  if (version != kCheckpointVersion) {
+    if (version == 2 && root.Find("chain") != nullptr) {
       // A pre-release chain build wrote chain state without bumping the
       // version; resuming it as v2 would silently drop the chain prefix.
       *error = StrFormat(
@@ -206,10 +210,9 @@ bool ParseCheckpoint(const std::string& text, SearchCheckpoint* out, std::string
         "unsupported checkpoint version %lld (this build reads only version %d); "
         "checkpoint files are not forward/backward compatible — delete the stale "
         "checkpoint and restart the search from round 0",
-        static_cast<long long>(version->as_int()), kCheckpointVersion);
+        static_cast<long long>(version), kCheckpointVersion);
     return false;
   }
-  JsonReader in(root, "checkpoint", error);
   SearchCheckpoint checkpoint;
   checkpoint.program_fingerprint = in.U64("program_fingerprint");
   checkpoint.base_seed = in.U64("base_seed");

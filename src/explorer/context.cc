@@ -12,19 +12,31 @@ namespace anduril::explorer {
 
 std::unordered_set<std::string> RunLogKeys(const interp::RunResult& run) {
   std::unordered_set<std::string> keys;
-  logdiff::ParsedLog log = logdiff::ParseLogFile(interp::FormatLogFile(run.log));
-  for (const logdiff::ParsedLine& line : log.lines) {
-    keys.insert(line.key);
+  std::string key;
+  for (const interp::LogEntry& entry : run.log) {
+    if (logdiff::LineKey(ir::LogLevelName(entry.level), entry.logger, entry.message, &key)) {
+      keys.insert(key);
+    }
   }
   return keys;
 }
 
-std::vector<std::string> ExplorerContext::PresentObservables(
+logdiff::ParsedLog ParseRunLog(const std::vector<interp::LogEntry>& log) {
+  logdiff::ParsedLog parsed;
+  parsed.lines.reserve(log.size());
+  for (const interp::LogEntry& entry : log) {
+    logdiff::AppendLine(entry.FullThreadName(), ir::LogLevelName(entry.level), entry.logger,
+                        entry.message, &parsed);
+  }
+  return parsed;
+}
+
+std::vector<size_t> ExplorerContext::PresentObservables(
     const std::unordered_set<std::string>& keys) const {
-  std::vector<std::string> present;
-  for (const ObservableInfo& observable : observables_) {
-    if (keys.contains(observable.key)) {
-      present.push_back(observable.key);
+  std::vector<size_t> present;
+  for (size_t k = 0; k < observables_.size(); ++k) {
+    if (keys.contains(observables_[k].key)) {
+      present.push_back(k);
     }
   }
   return present;
@@ -51,7 +63,7 @@ ExplorerContext::ExplorerContext(const ExperimentSpec& spec, const ExplorerOptio
   interp::RunResult normal = simulator.Run();
   normal_workload_seconds_ = workload_timer.ElapsedSeconds();
   normal_trace_ = normal.trace;
-  normal_log_ = logdiff::ParseLogFile(interp::FormatLogFile(normal.log));
+  normal_log_ = ParseRunLog(normal.log);
 
   // Step 2: per-thread diff -> relevant observables (§5.1).
   logdiff::LogComparison comparison = logdiff::CompareLogs(normal_log_, failure_log_);

@@ -18,6 +18,7 @@
 #include "src/analysis/causal_graph.h"
 #include "src/explorer/experiment.h"
 #include "src/interp/fault_runtime.h"
+#include "src/interp/log_entry.h"
 #include "src/ir/flatten.h"
 #include "src/logdiff/compare.h"
 #include "src/logdiff/parser.h"
@@ -53,10 +54,18 @@ struct InstanceEstimate {
   int64_t failure_pos = 0;  // estimated log clock in the failure log
 };
 
-// The sanitized message keys ("LEVEL|logger|message") of `run`'s log. Keys
-// come from the rendered log file, so only what a log file would show is
-// used. Every run-to-observables step of the search goes through here.
+// The sanitized message keys ("LEVEL|logger|message") of `run`'s log. Each
+// is the key the parser would derive from the entry's rendered line
+// (logdiff::LineKey over the entry's fields), so only what a log file would
+// show is used, without rendering the log. Every run-to-observables step of
+// the search goes through here.
 std::unordered_set<std::string> RunLogKeys(const interp::RunResult& run);
+
+// The ParsedLog that logdiff::ParseLogFile reads from
+// interp::FormatLogFile(log), built from the entries' fields
+// (logdiff::AppendLine). property_test checks both equalities against the
+// text round trip over every registry.
+logdiff::ParsedLog ParseRunLog(const std::vector<interp::LogEntry>& log);
 
 struct ObservableInfo {
   std::string key;
@@ -82,10 +91,9 @@ class ExplorerContext {
   const logdiff::ParsedLog& normal_log() const { return normal_log_; }
   const std::vector<ObservableInfo>& observables() const { return observables_; }
   const analysis::CausalGraph& graph() const { return *graph_; }
-  // The relevant observables among `keys` (RunLogKeys of one or more runs),
-  // in observable order, so deterministic.
-  std::vector<std::string> PresentObservables(
-      const std::unordered_set<std::string>& keys) const;
+  // The indices into observables() of the relevant observables among `keys`
+  // (RunLogKeys of one or more runs), ascending, so deterministic.
+  std::vector<size_t> PresentObservables(const std::unordered_set<std::string>& keys) const;
 
   const std::vector<FaultCandidate>& candidates() const { return candidates_; }
   // L_{i,k}: distance from candidate i's node to observable k

@@ -431,6 +431,10 @@ ExploreResult Explorer::Explore(InjectionStrategy* strategy, const CheckpointCon
                  static_cast<int64_t>(rec.run_seconds * 1e9));
   };
 
+  // The program cannot change during a search, so its checkpoint
+  // fingerprint is computed once rather than at every write.
+  const uint64_t fingerprint = checkpoint.path.empty() ? 0 : ProgramFingerprint(*spec_->program);
+
   for (int round = first_round; round <= options_.max_rounds; ++round) {
     // Cooperative drain: stop between rounds. The previous round's checkpoint
     // is already on disk, so a resume continues byte-identically from here.
@@ -627,8 +631,8 @@ ExploreResult Explorer::Explore(InjectionStrategy* strategy, const CheckpointCon
       outcome.injected = run.injected;
     }
     if (strategy->WantsLogFeedback()) {
-      outcome.present_keys = context_->PresentObservables(CombinedKeys(executed, pool));
-      record.present_observables = static_cast<int>(outcome.present_keys.size());
+      outcome.present_observables = context_->PresentObservables(CombinedKeys(executed, pool));
+      record.present_observables = static_cast<int>(outcome.present_observables.size());
       if (metrics != nullptr) {
         metrics->Observe("logdiff.present_observables", record.present_observables);
       }
@@ -642,7 +646,7 @@ ExploreResult Explorer::Explore(InjectionStrategy* strategy, const CheckpointCon
 
     if (!checkpoint.path.empty()) {
       SearchCheckpoint snap;
-      snap.program_fingerprint = ProgramFingerprint(*spec_->program);
+      snap.program_fingerprint = fingerprint;
       snap.base_seed = spec_->base_seed;
       snap.rounds_completed = round;
       snap.retry_rng_draws = retry_backoff.draws();

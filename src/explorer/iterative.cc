@@ -261,7 +261,9 @@ ChainResult ChainExplorer::Explore(int max_chain_length, const CheckpointConfig&
           }
           continue;
         }
-        flipped = explorer.context().PresentObservables(RunLogKeys(stitch.run));
+        for (size_t k : explorer.context().PresentObservables(RunLogKeys(stitch.run))) {
+          flipped.push_back(explorer.context().observables()[k].key);
+        }
         new_sites = NewlyExecutedSites(explorer.context(), stitch.run);
         if (flipped.empty() && new_sites.empty()) {
           continue;

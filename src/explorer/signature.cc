@@ -149,8 +149,7 @@ FaultSignature BuildSignature(const ExperimentSpec& spec, const std::string& cas
   interp::Simulator simulator(spec.program, spec.cluster, spec.base_seed, &runtime);
   interp::RunResult fault_free = simulator.Run();
   logdiff::LogComparison comparison =
-      logdiff::CompareLogs(logdiff::ParseLogFile(interp::FormatLogFile(fault_free.log)),
-                           logdiff::ParseLogFile(interp::FormatLogFile(failing.run.log)));
+      logdiff::CompareLogs(ParseRunLog(fault_free.log), ParseRunLog(failing.run.log));
   std::unordered_set<std::string> production_keys = KeysOfLogText(spec.failure_log_text);
   for (const std::string& key : comparison.target_only_keys) {
     if (production_keys.contains(key)) {
@@ -289,16 +288,18 @@ bool ParseSignature(const std::string& text, FaultSignature* out, std::string* e
     *error = "signature is not a JSON object";
     return false;
   }
-  const JsonValue* version = root.Find("version");
-  if (version == nullptr || version->as_int() != kSignatureVersion) {
+  JsonReader in(root, "signature", error);
+  const int64_t version = in.Has("version") ? in.Int64("version") : 0;
+  if (!in.ok()) {
+    return false;
+  }
+  if (version != kSignatureVersion) {
     *error = StrFormat(
         "unsupported signature version %lld (this build reads only version %d); "
         "re-run the search and re-emit the signature",
-        version == nullptr ? 0LL : static_cast<long long>(version->as_int()),
-        kSignatureVersion);
+        static_cast<long long>(version), kSignatureVersion);
     return false;
   }
-  JsonReader in(root, "signature", error);
   FaultSignature signature;
   signature.case_id = in.Str("case_id");
   signature.program_fingerprint = in.U64("program_fingerprint");

@@ -66,11 +66,9 @@ SoundnessReport CheckCausalSoundness(const ExplorerContext& context,
     interp::RunResult run = simulator.Run();
     ++report.candidates_checked;
 
-    std::unordered_set<std::string> run_keys = RunLogKeys(run);
     const std::vector<ObservableInfo>& observables = context.observables();
-    for (size_t k = 0; k < observables.size(); ++k) {
-      if (!run_keys.contains(observables[k].key) ||
-          baseline_keys.contains(observables[k].key)) {
+    for (size_t k : context.PresentObservables(RunLogKeys(run))) {
+      if (baseline_keys.contains(observables[k].key)) {
         continue;
       }
       ++report.pairs_observed;

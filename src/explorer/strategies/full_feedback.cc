@@ -113,7 +113,8 @@ class FeedbackStrategyBase : public InjectionStrategy {
       metrics_->Set("strategy.window_size", window_size_);
     }
     deltas_.clear();
-    feedback_.Digest(outcome.present_keys, context_->options().feedback_adjustment, &deltas_);
+    feedback_.Digest(outcome.present_observables, context_->options().feedback_adjustment,
+                     &deltas_);
     engine_->ApplyDeltas(deltas_);
   }
 

@@ -6,7 +6,6 @@
 #define ANDURIL_SRC_EXPLORER_STRATEGIES_STRATEGY_UTIL_H_
 
 #include <string>
-#include <unordered_map>
 #include <unordered_set>
 #include <utility>
 #include <vector>
@@ -22,26 +21,19 @@ namespace anduril::explorer {
 class FeedbackState {
  public:
   void Initialize(const ExplorerContext& context) {
-    context_ = &context;
     priorities_.assign(context.observables().size(), 0);
-    for (size_t k = 0; k < context.observables().size(); ++k) {
-      key_index_[context.observables()[k].key] = k;
-    }
   }
 
-  // Applies one round's present keys; with `deltas`, also records each
-  // applied (observable, delta) move so the priority engine can dirty exactly
-  // the I_k that changed. Keys absent from the observable set contribute
-  // nothing to either.
-  void Digest(const std::vector<std::string>& present_keys, int adjustment,
+  // Applies one round's present observables (indices into the context's
+  // observables); with `deltas`, also records each applied (observable,
+  // delta) move so the priority engine can dirty exactly the I_k that
+  // changed.
+  void Digest(const std::vector<size_t>& present, int adjustment,
               std::vector<std::pair<size_t, int64_t>>* deltas = nullptr) {
-    for (const std::string& key : present_keys) {
-      auto it = key_index_.find(key);
-      if (it != key_index_.end()) {
-        priorities_[it->second] += adjustment;
-        if (deltas != nullptr) {
-          deltas->emplace_back(it->second, adjustment);
-        }
+    for (size_t k : present) {
+      priorities_[k] += adjustment;
+      if (deltas != nullptr) {
+        deltas->emplace_back(k, adjustment);
       }
     }
   }
@@ -53,9 +45,7 @@ class FeedbackState {
   void SetPriorities(std::vector<int64_t> priorities) { priorities_ = std::move(priorities); }
 
  private:
-  const ExplorerContext* context_ = nullptr;
   std::vector<int64_t> priorities_;
-  std::unordered_map<std::string, size_t> key_index_;
 };
 
 // Identity of a tried dynamic instance.

@@ -30,11 +30,12 @@ struct RoundOutcome {
   // each window candidate gets its own run and therefore several instances
   // can fire in one round; strategies mark all of them tried.
   std::vector<interp::InjectionCandidate> also_injected;
-  // Observable keys that appeared in this round's log (only filled when the
+  // Indices into ExplorerContext::observables() of the relevant observables
+  // that appeared in this round's logs, ascending (only filled when the
   // strategy asks for log feedback). Algorithm 2: observables *present* in an
   // unsuccessful run get deprioritized; the still-missing ones are the clues
   // worth chasing.
-  std::vector<std::string> present_keys;
+  std::vector<size_t> present_observables;
   // How the round's selected run ended. Feedback strategies demote (rather
   // than retire) the armed candidate when the run hung: a hang often means
   // "right site, wrong instance", so it goes to the back of the queue

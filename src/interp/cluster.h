@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "src/ir/program.h"
 #include "src/ir/types.h"
 
 namespace anduril::interp {
@@ -54,9 +55,14 @@ struct ClusterSpec {
   // per (site, occurrence), in [20, 120) ms (see NetworkModel::DelayFor).
   int64_t network_delay_ms = 0;
 
-  void AddNode(const std::string& name) { nodes.push_back(name); }
+  // Node and thread names fill a log line's thread slot (ir::LogFieldError).
+  void AddNode(const std::string& name) {
+    ir::CheckLogField(ir::LogField::kThread, name, "node");
+    nodes.push_back(name);
+  }
   void AddTask(const std::string& node, const std::string& thread, ir::MethodId method,
                int64_t start_ms = 0, int64_t payload = 0) {
+    ir::CheckLogField(ir::LogField::kThread, thread, "thread");
     tasks.push_back(InitialTask{node, thread, method, start_ms, payload});
   }
   void SetVar(const std::string& node, ir::VarId var, int64_t value) {

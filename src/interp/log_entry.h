@@ -2,9 +2,15 @@
 //
 // These are the paper's "observables": the only runtime information the
 // explorer may use as feedback is what a production log file would contain.
-// Entries render to text lines (and are parsed back by src/logdiff) so the
-// toolchain never takes shortcuts through in-memory structures that a real
-// deployment would not have.
+// An entry renders to one text line (FormatLogLine). The search does not
+// render a run's log and parse it back: it takes from each entry the key
+// the parser would derive from the rendered line (logdiff::LineKey over the
+// thread, level, logger and message fields), and nothing else — not the
+// template id, source statement or uncaught method below, which a real
+// deployment's log would not show. property_test's differential test pins
+// that equality against ParseLogFile(FormatLogFile(log)) over every
+// registry; ir::LogFieldError lists the names that would break it, and
+// those are rejected before a program can run.
 
 #ifndef ANDURIL_SRC_INTERP_LOG_ENTRY_H_
 #define ANDURIL_SRC_INTERP_LOG_ENTRY_H_

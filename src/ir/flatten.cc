@@ -378,6 +378,26 @@ FlatProgram::FlatProgram(const Program& program) : program_(&program) {
     lowering.method = &program.method(m);
     methods_.push_back(lowering.Lower());
   }
+  // A program is lowered before it can run, so no run logs a name that the
+  // log parser would read back differently from the entry's fields.
+  for (size_t t = 0; t < program.log_template_count(); ++t) {
+    const LogTemplate& tmpl = program.log_template(static_cast<LogTemplateId>(t));
+    CheckLogField(LogField::kLogger, tmpl.logger, "logger");
+    CheckLogField(LogField::kMessage, tmpl.text, "log template");
+  }
+  for (size_t e = 0; e < program.exception_type_count(); ++e) {
+    CheckLogField(LogField::kMessage, program.exception_type(static_cast<ExceptionTypeId>(e)).name,
+                  "exception type");
+  }
+  for (size_t m = 0; m < program.method_count(); ++m) {
+    CheckLogField(LogField::kMessage, program.method(static_cast<MethodId>(m)).name, "method");
+  }
+  for (const FaultSite& site : program.fault_sites()) {
+    CheckLogField(LogField::kMessage, site.name, "fault site");
+  }
+  for (const std::string& name : thread_names_) {
+    CheckLogField(LogField::kThread, name, "thread");
+  }
 }
 
 int32_t FlatProgram::InternThreadName(const std::string& name) {

@@ -19,6 +19,25 @@ const char* LogLevelName(LogLevel level) {
   ANDURIL_UNREACHABLE();
 }
 
+const char* LogFieldError(LogField field, std::string_view text) {
+  if (text.find('\n') != std::string_view::npos) {
+    return "holds a line break, which would split the log line";
+  }
+  if (field == LogField::kThread && text.find(']') != std::string_view::npos) {
+    return "holds ']', which would end the thread field early";
+  }
+  if (field == LogField::kLogger &&
+      (text.find(" - ") != std::string_view::npos || text.ends_with(" -"))) {
+    return "holds the \" - \" separator, which would end the logger field early";
+  }
+  return nullptr;
+}
+
+void CheckLogField(LogField field, std::string_view text, const char* what) {
+  const char* error = LogFieldError(field, text);
+  ANDURIL_CHECK(error == nullptr) << what << " \"" << text << "\" " << error;
+}
+
 Program::Program() {
   // The root exception type always exists with id 0.
   ExceptionType root;

@@ -6,6 +6,7 @@
 #define ANDURIL_SRC_IR_PROGRAM_H_
 
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -18,6 +19,24 @@ namespace anduril::ir {
 enum class LogLevel : uint8_t { kDebug, kInfo, kWarn, kError };
 
 const char* LogLevelName(LogLevel level);
+
+// The slot of a rendered log line "… [node/thread] LEVEL logger - message"
+// (interp::FormatLogLine) that a name fills. Node, thread and method names
+// fill the thread slot (a method names its message handler's thread by
+// default); template text and every name an exception description prints
+// (exception types, methods, fault sites) fill the message slot.
+enum class LogField : uint8_t { kThread, kLogger, kMessage };
+
+// Why `text` cannot fill `field` and be read back as written by
+// logdiff::ParseLogFile, or nullptr when it can. No field may hold a line
+// break, a thread may not hold ']', and a logger may not hold the " - "
+// separator or end in " -". The search computes log keys from entry fields
+// rather than from rendered text, which is exact only under these rules, so
+// FlatProgram (the lowering every run executes) CHECKs each program name
+// and ClusterSpec each node and task thread name against them.
+const char* LogFieldError(LogField field, std::string_view text);
+// CHECK-fails, naming `what` and `text`, when LogFieldError reports one.
+void CheckLogField(LogField field, std::string_view text, const char* what);
 
 // A parameterized log message, e.g. "Failed to sync WAL after {} retries".
 // Placeholders "{}" are substituted with rendered argument values. The

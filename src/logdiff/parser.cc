@@ -4,22 +4,62 @@
 
 namespace anduril::logdiff {
 
-std::string Sanitize(const std::string& message) {
-  std::string out;
-  out.reserve(message.size());
+namespace {
+
+void AppendSanitized(std::string_view message, std::string* out) {
   bool in_digits = false;
   for (char c : message) {
     if (c >= '0' && c <= '9') {
       if (!in_digits) {
-        out.push_back('#');
+        out->push_back('#');
         in_digits = true;
       }
     } else {
       in_digits = false;
-      out.push_back(c);
+      out->push_back(c);
     }
   }
+}
+
+}  // namespace
+
+std::string Sanitize(std::string_view message) {
+  std::string out;
+  out.reserve(message.size());
+  AppendSanitized(message, &out);
   return out;
+}
+
+bool LineKey(std::string_view level, std::string_view logger, std::string_view message,
+             std::string* key) {
+  message = TrimRight(message);
+  if (message.empty()) {
+    return false;
+  }
+  logger = Trim(logger);
+  key->clear();
+  key->reserve(level.size() + logger.size() + message.size() + 2);
+  key->append(level);
+  key->push_back('|');
+  key->append(logger);
+  key->push_back('|');
+  AppendSanitized(message, key);
+  return true;
+}
+
+void AppendLine(std::string_view thread, std::string_view level, std::string_view logger,
+                std::string_view message, ParsedLog* log) {
+  std::string key;
+  if (!LineKey(level, logger, message, &key)) {
+    return;
+  }
+  ParsedLine& parsed = log->lines.emplace_back();
+  parsed.index = static_cast<int64_t>(log->lines.size()) - 1;
+  parsed.thread = thread;
+  parsed.level = level;
+  parsed.logger = Trim(logger);
+  parsed.message = TrimRight(message);
+  parsed.key = std::move(key);
 }
 
 ParsedLog ParseLogFile(const std::string& text, const LogFormat& format) {
@@ -47,7 +87,7 @@ ParsedLog ParseLogFile(const std::string& text, const LogFormat& format) {
     if (thread_end == std::string_view::npos) {
       continue;
     }
-    std::string thread(line.substr(pos + 1, thread_end - pos - 1));
+    std::string_view thread = line.substr(pos + 1, thread_end - pos - 1);
     pos = thread_end + 1;
     while (pos < line.size() && line[pos] == ' ') {
       ++pos;
@@ -56,23 +96,14 @@ ParsedLog ParseLogFile(const std::string& text, const LogFormat& format) {
     if (level_end == std::string_view::npos) {
       continue;
     }
-    std::string level(line.substr(pos, level_end - pos));
+    std::string_view level = line.substr(pos, level_end - pos);
     pos = level_end + 1;
     size_t sep = line.find(format.message_separator, pos);
     if (sep == std::string_view::npos) {
       continue;
     }
-    std::string logger(Trim(line.substr(pos, sep - pos)));
-    std::string message(line.substr(sep + format.message_separator.size()));
-
-    ParsedLine parsed;
-    parsed.index = static_cast<int64_t>(log.lines.size());
-    parsed.thread = std::move(thread);
-    parsed.level = std::move(level);
-    parsed.logger = std::move(logger);
-    parsed.key = parsed.level + "|" + parsed.logger + "|" + Sanitize(message);
-    parsed.message = std::move(message);
-    log.lines.push_back(std::move(parsed));
+    AppendLine(thread, level, line.substr(pos, sep - pos),
+               line.substr(sep + format.message_separator.size()), &log);
   }
   return log;
 }

@@ -232,17 +232,21 @@ bool ParseMetricsJson(const std::string& text, MetricsSnapshot* out, std::string
     *error = "metrics file is not a JSON object";
     return false;
   }
-  const JsonValue* version = root.Find("anduril_metrics");
-  if (version == nullptr) {
+  JsonReader in(root, "metrics", error);
+  if (!in.Has("anduril_metrics")) {
     *error = "metrics file has no anduril_metrics version field";
     return false;
   }
-  if (version->as_int() != kMetricsFormatVersion) {
-    *error = StrFormat("unsupported metrics version %lld (this build reads only version %d)",
-                       static_cast<long long>(version->as_int()), kMetricsFormatVersion);
+  const int64_t version = in.Int64("anduril_metrics");
+  if (!in.ok()) {
     return false;
   }
-  return MetricsSnapshotFromJson(root, out, error);
+  if (version != kMetricsFormatVersion) {
+    *error = StrFormat("unsupported metrics version %lld (this build reads only version %d)",
+                       static_cast<long long>(version), kMetricsFormatVersion);
+    return false;
+  }
+  return MetricsSnapshotFromJson(in, out);
 }
 
 }  // namespace anduril::obs

@@ -185,14 +185,18 @@ bool Tracer::ParseJsonl(const std::string& text, std::vector<TraceEvent>* out,
       return false;
     }
     if (!saw_header) {
-      const JsonValue* version = value.Find("anduril_trace");
-      if (version == nullptr) {
+      JsonReader header(value, StrFormat("trace line %zu", line_number), error);
+      if (!header.Has("anduril_trace")) {
         *error = "trace file has no anduril_trace version header";
         return false;
       }
-      if (version->as_int() != kTraceFormatVersion) {
+      const int64_t version = header.Int64("anduril_trace");
+      if (!header.ok()) {
+        return false;
+      }
+      if (version != kTraceFormatVersion) {
         *error = StrFormat("unsupported trace version %lld (this build reads only version %d)",
-                           static_cast<long long>(version->as_int()), kTraceFormatVersion);
+                           static_cast<long long>(version), kTraceFormatVersion);
         return false;
       }
       saw_header = true;

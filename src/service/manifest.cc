@@ -100,17 +100,20 @@ bool ParseManifest(const std::string& text, QueueManifest* out, std::string* err
     *error = "manifest: " + parse_error;
     return false;
   }
-  const JsonValue* version = root.Find("anduril_queue");
-  if (version == nullptr) {
+  JsonReader in(root, "manifest", error);
+  if (!in.Has("anduril_queue")) {
     *error = "manifest: missing \"anduril_queue\" version field";
     return false;
   }
-  if (version->as_int() != kQueueFormatVersion) {
-    *error = "manifest: unsupported version " + std::to_string(version->as_int()) +
+  const int64_t version = in.Int64("anduril_queue");
+  if (!in.ok()) {
+    return false;
+  }
+  if (version != kQueueFormatVersion) {
+    *error = "manifest: unsupported version " + std::to_string(version) +
              " (this build reads version " + std::to_string(kQueueFormatVersion) + ")";
     return false;
   }
-  JsonReader in(root, "manifest", error);
   QueueManifest manifest;
   manifest.slice_rounds = in.Int("slice_rounds");
   JsonReader cases = in.Array("cases");

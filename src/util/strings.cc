@@ -60,18 +60,24 @@ bool Contains(std::string_view text, std::string_view needle) {
   return text.find(needle) != std::string_view::npos;
 }
 
+namespace {
+bool IsSpace(char c) { return c == ' ' || c == '\t' || c == '\n' || c == '\r'; }
+}  // namespace
+
 std::string_view Trim(std::string_view text) {
   size_t begin = 0;
-  size_t end = text.size();
-  while (begin < end && (text[begin] == ' ' || text[begin] == '\t' || text[begin] == '\n' ||
-                         text[begin] == '\r')) {
+  while (begin < text.size() && IsSpace(text[begin])) {
     ++begin;
   }
-  while (end > begin && (text[end - 1] == ' ' || text[end - 1] == '\t' ||
-                         text[end - 1] == '\n' || text[end - 1] == '\r')) {
+  return TrimRight(text.substr(begin));
+}
+
+std::string_view TrimRight(std::string_view text) {
+  size_t end = text.size();
+  while (end > 0 && IsSpace(text[end - 1])) {
     --end;
   }
-  return text.substr(begin, end - begin);
+  return text.substr(0, end);
 }
 
 std::string ReplaceAll(std::string_view text, std::string_view from, std::string_view to) {

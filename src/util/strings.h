@@ -22,8 +22,10 @@ bool StartsWith(std::string_view text, std::string_view prefix);
 bool EndsWith(std::string_view text, std::string_view suffix);
 bool Contains(std::string_view text, std::string_view needle);
 
-// Removes leading and trailing ASCII whitespace.
+// Removes leading and trailing ASCII whitespace (space, tab, CR, LF).
 std::string_view Trim(std::string_view text);
+// Removes trailing ASCII whitespace only.
+std::string_view TrimRight(std::string_view text);
 
 // Replaces every occurrence of `from` (non-empty) with `to`.
 std::string ReplaceAll(std::string_view text, std::string_view from, std::string_view to);

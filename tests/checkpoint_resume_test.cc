@@ -429,6 +429,9 @@ TEST(CheckpointHostileInputTest, DamagedFieldIsRejectedByPath) {
   ExpectDamageRejected(
       Ka10048Checkpoint(),
       {
+          // A fractional version used to truncate to a supported one.
+          {R"("version": (\d+))", R"("version": $1.9)",
+           "checkpoint.version: expected integer, found number"},
           // The first three loaded without complaint before the strict
           // reader: the resumed search forgot its tried set, restarted at
           // round 1, or narrowed the window to a negative int.

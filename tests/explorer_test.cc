@@ -286,7 +286,7 @@ TEST_F(ExplorerTest, FeedbackStateDeprioritizesPresentObservables) {
   for (size_t k = 0; k < context.observables().size(); ++k) {
     EXPECT_EQ(feedback.priority(k), 0);
   }
-  std::vector<std::string> present{context.observables()[0].key};
+  std::vector<size_t> present{0};
   feedback.Digest(present, /*adjustment=*/1);
   EXPECT_EQ(feedback.priority(0), 1);
   for (size_t k = 1; k < context.observables().size(); ++k) {

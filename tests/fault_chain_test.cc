@@ -505,6 +505,8 @@ TEST_F(SignatureTest, DamagedFieldIsRejectedByPath) {
   ExpectDamageRejected(
       SerializeSignature(signature_),
       {
+          {R"("version": (\d+))", R"("version": $1.9)",
+           "signature.version: expected integer, found number"},
           {R"("case_id": "[^"]*",)", "", "signature: no case_id string"},
           {R"("minimized": false)", R"("minimized": 0)",
            "signature.minimized: expected boolean, found integer"},

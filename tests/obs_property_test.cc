@@ -321,6 +321,8 @@ TEST(ObsHostileInputTest, DamagedTraceFieldIsRejectedByPath) {
   ExpectDamageRejected(
       Zk2247Run().tracer.DumpJsonl(/*include_wall=*/true),
       {
+          {R"("anduril_trace":(\d+))", R"("anduril_trace":$1.9)",
+           "trace line 1.anduril_trace: expected integer, found number"},
           {R"("ts":(\d+))", R"("ts":"$1")", "trace line 2.ts: expected integer, found string"},
           {R"("track":\d+)", R"("track":1.5)",
            "trace line 2.track: expected integer, found number"},
@@ -344,6 +346,8 @@ TEST(ObsHostileInputTest, DamagedMetricsFieldIsRejectedByPath) {
   ExpectDamageRejected(
       Zk2247Run().metrics.DumpJson(),
       {
+          {R"("anduril_metrics": (\d+))", R"("anduril_metrics": $1.9)",
+           "metrics.anduril_metrics: expected integer, found number"},
           {R"("counters": \{)", R"("was": {)", "metrics: no counters object"},
           {R"re(("counters": \{\s*"([^"]+)": )(\d+))re", R"($1"$3")",
            "metrics.counters.explore.context_builds: expected integer, found string"},

@@ -6,7 +6,9 @@
 //   - at most one window injection fires per run, at the exact occurrence
 //   - the instance trace is consistent (per-site occurrences dense, log
 //     clocks monotone, every armed candidate either fires or never occurs)
-//   - log files round-trip through the parser
+//   - log files round-trip through the parser, and the log keys and parsed
+//     lines the search builds from entry fields equal the parser's reading
+//     of the rendered file (the text round trip kept here as the reference)
 //   - the causal graph is well-formed (priors in range, sources are real
 //     fault sites, finite distances only to graph nodes)
 //   - the ground truth is occurrence-sensitive where the case says so
@@ -15,8 +17,11 @@
 
 #include <map>
 #include <set>
+#include <unordered_set>
 
 #include "src/explorer/explorer.h"
+#include "src/ir/builder.h"
+#include "src/ir/flatten.h"
 #include "src/interp/log_entry.h"
 #include "src/interp/simulator.h"
 #include "src/logdiff/parser.h"
@@ -333,6 +338,229 @@ TEST(ScriptDeterminism, ThreeCasesReplayTenTimes) {
       EXPECT_TRUE(explorer::Explorer::Replay(built.spec, *result.script)) << id;
     }
   }
+}
+
+// --- log keys from entry fields vs the text round trip ---------------------------------
+
+// The search never renders a run's log: RunLogKeys and ParseRunLog build
+// keys and parsed lines from the entry fields. The reference is the text
+// round trip they replaced, ParseLogFile(FormatLogFile(log)); the two must
+// agree on the key set and on every field of every line, including the
+// parser's trimming and its dropped empty-message lines.
+void ExpectMatchesTextRoundTrip(const std::vector<interp::LogEntry>& log,
+                                const std::string& what) {
+  const logdiff::ParsedLog reference = logdiff::ParseLogFile(interp::FormatLogFile(log));
+  const logdiff::ParsedLog direct = explorer::ParseRunLog(log);
+  ASSERT_EQ(direct.lines.size(), reference.lines.size()) << what;
+  for (size_t i = 0; i < direct.lines.size(); ++i) {
+    const logdiff::ParsedLine& got = direct.lines[i];
+    const logdiff::ParsedLine& want = reference.lines[i];
+    EXPECT_EQ(got.index, want.index) << what << " line " << i;
+    EXPECT_EQ(got.thread, want.thread) << what << " line " << i;
+    EXPECT_EQ(got.level, want.level) << what << " line " << i;
+    EXPECT_EQ(got.logger, want.logger) << what << " line " << i;
+    EXPECT_EQ(got.message, want.message) << what << " line " << i;
+    EXPECT_EQ(got.key, want.key) << what << " line " << i;
+  }
+  std::unordered_set<std::string> reference_keys;
+  for (const logdiff::ParsedLine& line : reference.lines) {
+    reference_keys.insert(line.key);
+  }
+  interp::RunResult run;
+  run.log = log;
+  EXPECT_EQ(explorer::RunLogKeys(run), reference_keys) << what;
+}
+
+struct RegistryCase {
+  const char* registry;
+  const FailureCase* failure_case;
+};
+
+std::vector<RegistryCase> EveryRegisteredCase() {
+  std::vector<RegistryCase> params;
+  const std::pair<const char*, const std::vector<FailureCase>*> registries[] = {
+      {"all", &AllCases()},         {"crash_stall", &CrashStallCases()},
+      {"network", &NetworkCases()}, {"cascade", &CascadeCases()},
+      {"storm", &StormCases()}};
+  for (const auto& [registry, cases] : registries) {
+    for (const FailureCase& failure_case : *cases) {
+      params.push_back(RegistryCase{registry, &failure_case});
+    }
+  }
+  return params;
+}
+
+class DirectLogKeysTest : public ::testing::TestWithParam<RegistryCase> {
+ public:
+  static std::string Name(const ::testing::TestParamInfo<RegistryCase>& info) {
+    std::string name = std::string(info.param.registry) + "_" + info.param.failure_case->id;
+    for (char& c : name) {
+      if (c == '-') {
+        c = '_';
+      }
+    }
+    return name;
+  }
+};
+
+// Per seed: the fault-free run, the ground truth (a cascade's last step
+// armed with its prefix pinned), and a node crash at the middle external-call
+// instance of the fault-free (or, for a cascade, prefix-pinned) run, which
+// cuts that node's log short. Each also runs under the production workload.
+TEST_P(DirectLogKeysTest, MatchTextRoundTrip) {
+  const FailureCase& failure_case = *GetParam().failure_case;
+  BuiltCase built = BuildCase(failure_case, /*verify=*/false);
+  std::vector<interp::InjectionCandidate> pinned;
+  if (!built.ground_truth_chain.empty()) {
+    pinned.assign(built.ground_truth_chain.begin(), built.ground_truth_chain.end() - 1);
+  }
+  int crashed = 0;
+  for (const interp::ClusterSpec* cluster : {&built.cluster, &built.failure_cluster}) {
+    for (uint64_t seed : {1ull, 7ull, 1234ull}) {
+      const std::string what = failure_case.id + (cluster == &built.cluster ? "" : " production") +
+                               " seed " + std::to_string(seed);
+      interp::RunResult fault_free = RunOnce(*built.program, *cluster, seed);
+      ExpectMatchesTextRoundTrip(fault_free.log, what + " fault-free");
+      ExpectMatchesTextRoundTrip(
+          RunOnce(*built.program, *cluster, seed, {built.ground_truth}, pinned).log,
+          what + " ground truth");
+      // A cascade's later sites run only under its pinned prefix.
+      if (!pinned.empty()) {
+        fault_free = RunOnce(*built.program, *cluster, seed, {}, pinned);
+        ExpectMatchesTextRoundTrip(fault_free.log, what + " chain prefix");
+      }
+
+      std::vector<interp::FaultInstanceEvent> external;
+      for (const interp::FaultInstanceEvent& event : fault_free.trace) {
+        if (built.program->fault_site(event.site).kind == ir::FaultSiteKind::kExternal) {
+          external.push_back(event);
+        }
+      }
+      ASSERT_FALSE(external.empty()) << what;
+      const interp::FaultInstanceEvent& middle = external[external.size() / 2];
+      interp::RunResult crash = RunOnce(
+          *built.program, *cluster, seed,
+          {{middle.site, middle.occurrence, ir::kInvalidId, interp::FaultKind::kCrash}}, pinned);
+      crashed += crash.outcome == interp::RunOutcome::kCrashed;
+      ExpectMatchesTextRoundTrip(crash.log, what + " crash");
+    }
+  }
+  EXPECT_GT(crashed, 0) << failure_case.id;
+}
+
+INSTANTIATE_TEST_SUITE_P(EveryRegistry, DirectLogKeysTest,
+                         ::testing::ValuesIn(EveryRegisteredCase()), DirectLogKeysTest::Name);
+
+interp::LogEntry Entry(ir::LogLevel level, std::string logger, std::string message,
+                       std::string thread = "worker") {
+  interp::LogEntry entry;
+  entry.node = "n1";
+  entry.thread = std::move(thread);
+  entry.level = level;
+  entry.logger = std::move(logger);
+  entry.message = std::move(message);
+  return entry;
+}
+
+// Hand-built rows for the parser's edge cases.
+TEST(DirectLogKeysEdgeTest, HandBuiltEntriesMatchTextRoundTrip) {
+  using ir::LogLevel;
+  std::vector<interp::LogEntry> log = {
+      Entry(LogLevel::kInfo, "wal.Sync", "synced 12 of 345 blocks"),
+      Entry(LogLevel::kWarn, "wal.Sync", ""),                   // dropped
+      Entry(LogLevel::kWarn, "wal.Sync", " \t \r"),             // dropped
+      Entry(LogLevel::kError, "wal.Sync", "trailing spaces   "),
+      Entry(LogLevel::kError, "wal.Sync", "trailing tab and cr\t\r"),
+      Entry(LogLevel::kDebug, "wal.Sync", "\t leading whitespace kept"),
+      Entry(LogLevel::kInfo, "rs2.Handler7", "offset -42 moved by -7 to 0"),
+      Entry(LogLevel::kInfo, "", "empty logger"),
+      Entry(LogLevel::kInfo, "  padded.logger \t", "padded logger"),
+      Entry(LogLevel::kInfo, "a-b.c", "message with - a dash - and [brackets]"),
+      Entry(LogLevel::kInfo, "x", "carriage\rreturn inside"),
+      Entry(LogLevel::kWarn, "x", "9"),
+      Entry(LogLevel::kInfo, "x", "", "thread with spaces"),  // dropped
+      Entry(LogLevel::kInfo, "x", "after a dropped line", "thread with spaces"),
+  };
+  // A builtin line and an uncaught-exception line, as the interpreter
+  // writes them.
+  interp::LogEntry builtin = Entry(LogLevel::kError, "thread",
+                                   "Uncaught exception terminating thread: IOException "
+                                   "[exc=IOException at hdfs.write@DataStreamer.run#12; "
+                                   "caused by TimeoutException]");
+  builtin.uncaught_method = 3;
+  log.push_back(builtin);
+  log.push_back(Entry(LogLevel::kWarn, "hdfs.DataStreamer",
+                      "write failed [exc=IOException at hdfs.write@DataStreamer.run#12]"));
+  for (size_t i = 0; i < log.size(); ++i) {
+    log[i].time_ms = static_cast<int64_t>(i) * 1'234'567;  // hours past 10:00 too
+  }
+  ExpectMatchesTextRoundTrip(log, "hand-built");
+
+  // The dropped lines shift every later index.
+  const logdiff::ParsedLog direct = explorer::ParseRunLog(log);
+  ASSERT_EQ(direct.lines.size(), log.size() - 3);
+  EXPECT_EQ(direct.lines[1].message, "trailing spaces");
+  EXPECT_EQ(direct.lines[1].index, 1);
+  EXPECT_EQ(direct.lines[3].key, "DEBUG|wal.Sync|\t leading whitespace kept");
+  EXPECT_EQ(direct.lines[4].key, "INFO|rs2.Handler7|offset -# moved by -# to #");
+  EXPECT_EQ(direct.lines[6].logger, "padded.logger");
+}
+
+// Names the parser could not read back as written are rejected before a
+// program can run or a cluster be described, rather than mimicked.
+TEST(LogFieldTest, NamesThatCannotBeReadBackAreNamed) {
+  using ir::LogField;
+  using ir::LogFieldError;
+  EXPECT_NE(LogFieldError(LogField::kThread, "worker]"), nullptr);
+  EXPECT_NE(LogFieldError(LogField::kThread, "work\ner"), nullptr);
+  EXPECT_EQ(LogFieldError(LogField::kThread, "worker [1"), nullptr);
+  EXPECT_NE(LogFieldError(LogField::kLogger, "wal - sync"), nullptr);
+  EXPECT_NE(LogFieldError(LogField::kLogger, "wal -"), nullptr);
+  EXPECT_NE(LogFieldError(LogField::kLogger, "wal\n"), nullptr);
+  EXPECT_EQ(LogFieldError(LogField::kLogger, "wal-sync -x"), nullptr);
+  EXPECT_EQ(LogFieldError(LogField::kLogger, "wal]"), nullptr);
+  EXPECT_NE(LogFieldError(LogField::kMessage, "two\nlines"), nullptr);
+  EXPECT_EQ(LogFieldError(LogField::kMessage, "a - b] [c"), nullptr);
+}
+
+// A finalized program whose one method logs with `logger`/`text`.
+std::unique_ptr<ir::Program> LoggingProgram(const std::string& method, const std::string& logger,
+                                            const std::string& text) {
+  auto program = std::make_unique<ir::Program>();
+  {
+    ir::MethodBuilder b(program.get(), method);
+    b.Log(ir::LogLevel::kInfo, logger, text);
+  }
+  program->Finalize();
+  return program;
+}
+
+TEST(LogFieldDeathTest, UnreadableNamesAreRejectedWhenBuilt) {
+  EXPECT_DEATH(ir::FlatProgram(*LoggingProgram("m", "wal - sync", "x")), "logger");
+  EXPECT_DEATH(ir::FlatProgram(*LoggingProgram("m", "wal", "two\nlines")), "log template");
+  EXPECT_DEATH(ir::FlatProgram(*LoggingProgram("m\n", "wal", "x")), "method");
+  {
+    ir::Program program;
+    {
+      ir::MethodBuilder handler(&program, "handle");
+      handler.Nop();
+    }
+    {
+      ir::MethodBuilder b(&program, "m");
+      ir::SendOpts opts;
+      opts.handler_thread = "rpc]";
+      b.Send("handle", "n2", opts);
+    }
+    program.Finalize();
+    EXPECT_DEATH(ir::FlatProgram flat(program), "thread");
+  }
+  interp::ClusterSpec cluster;
+  EXPECT_DEATH(cluster.AddNode("n]1"), "node");
+  EXPECT_DEATH(cluster.AddTask("n1", "boot\n", 0), "thread");
+  // What the rules allow still lowers.
+  std::unique_ptr<ir::Program> fine = LoggingProgram("m", "wal.sync", "fine - [ok]");
+  ir::FlatProgram flat(*fine);
+  EXPECT_FALSE(flat.ops().empty());
 }
 
 }  // namespace

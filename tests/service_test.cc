@@ -310,6 +310,8 @@ TEST_F(QueueFilesTest, DamagedManifestIsRejectedByPath) {
   ExpectDamageRejected(
       ReadFileOrDie(ManifestPath(*dir_)),
       {
+          {R"("anduril_queue": (\d+))", R"("anduril_queue": $1.9)",
+           "manifest.anduril_queue: expected integer, found number"},
           {R"("slice_rounds": \d+,)", "", "manifest: no slice_rounds integer"},
           {R"("cases": \[)", R"("cases": {}, "was": [)",
            "manifest.cases: expected array, found object"},
@@ -334,6 +336,8 @@ TEST_F(QueueFilesTest, DamagedCaseMetricsAreRejectedByPath) {
   ExpectDamageRejected(
       ReadFileOrDie(CaseMetricsPath(*dir_, "zk-2247")),
       {
+          {R"("anduril_metrics": (\d+))", R"("anduril_metrics": $1.9)",
+           "metrics.anduril_metrics: expected integer, found number"},
           {R"("gauges": \{)", R"("gauges": [], "was": {)",
            "metrics.gauges: expected object, found array"},
           {R"(("count": )\d+)", R"($1-1.5)",
